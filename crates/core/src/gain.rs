@@ -55,7 +55,6 @@
 
 use crate::allocation::{AllocEvent, Allocation};
 use mroam_data::{AdvertiserId, BillboardId};
-use rayon::prelude::*;
 
 /// Below this many candidates the exact scans stay sequential. With the
 /// work-stealing pool a parallel dispatch is a deque push (~100ns), not an
@@ -530,40 +529,6 @@ pub(crate) fn scan_free(
     }
 }
 
-/// BLS move-2 helper: first (assigned, free) pair whose replacement beats
-/// `threshold`, scanning the free pool in parallel while preserving the
-/// sequential first-hit semantics (`position_first` returns the minimum
-/// free-list index).
-pub fn find_improving_free_swap(
-    alloc: &Allocation<'_>,
-    a: AdvertiserId,
-    threshold: f64,
-) -> Option<(BillboardId, BillboardId)> {
-    find_improving_free_swap_with(alloc, a, threshold, PAR_SCAN_MIN)
-}
-
-pub(crate) fn find_improving_free_swap_with(
-    alloc: &Allocation<'_>,
-    a: AdvertiserId,
-    threshold: f64,
-    par_min: usize,
-) -> Option<(BillboardId, BillboardId)> {
-    let free = alloc.free_billboards();
-    for &m in alloc.set_of(a) {
-        let hit = if free.len() < par_min {
-            free.iter()
-                .position(|&f| alloc.eval_replace_with_free(m, f) < -threshold)
-        } else {
-            free.par_iter()
-                .position_first(|&f| alloc.eval_replace_with_free(m, f) < -threshold)
-        };
-        if let Some(p) = hit {
-            return Some((m, free[p]));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,9 +922,6 @@ mod tests {
 
         alloc.assign(BillboardId(0), a);
         alloc.assign(BillboardId(1), a);
-        let seq = find_improving_free_swap_with(&alloc, a, 0.0, usize::MAX);
-        let par = find_improving_free_swap_with(&alloc, a, 0.0, 0);
-        assert_eq!(seq, par);
-        assert!(seq.is_some(), "a strictly improving swap exists here");
+        assert_eq!(scan_free(&alloc, a, usize::MAX), scan_free(&alloc, a, 0));
     }
 }

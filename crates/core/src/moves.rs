@@ -8,7 +8,7 @@
 //! member candidate list per pass — each candidate at O(coverage-list)
 //! cost. Almost all of that work re-proves facts that no committed move
 //! has touched. [`MoveEngine`] removes the re-proving while returning
-//! **bit-identical** move sequences, through three devices:
+//! **bit-identical** move sequences, through four devices:
 //!
 //! * **Cached unique contributions.** Each assigned billboard's marginal
 //!   loss `I(S_a) − I(S_a ∖ {m})` is cached per advertiser
@@ -21,9 +21,23 @@
 //!   becomes O(1) arithmetic, and a swap between overlap-*disjoint*
 //!   billboards decomposes exactly as `Δ = gain(in) − loss(out)` (counts
 //!   under the incoming coverage are untouched by removing the outgoing
-//!   one), which halves-or-better the remaining swap evaluations. Both
-//!   shortcuts are measure-exact — they rely on counts, not
+//!   one). Both shortcuts are measure-exact — they rely on counts, not
 //!   submodularity, so `Impressions{k ≥ 2}` needs no fallback here.
+//! * **Exactly-once bitsets.** Under the Distinct measure, with the
+//!   model's [`CoverageBitmap`] within budget, each advertiser also gets
+//!   two lazily rebuilt bitsets: `covered` (some plan member covers the
+//!   trajectory) and `once` (exactly one does). Swapping member `out` for
+//!   non-member `in` then changes the influence by exactly
+//!   `gain(in) − loss(out) + |row(out) ∧ row(in) ∧ once|` — the lost
+//!   trajectories are `out`'s exactly-once ones minus those `in` covers
+//!   too, and the gained ones lie outside `covered`. The correction term
+//!   is zero for overlap-disjoint pairs, so this one formula prices every
+//!   cross and free swap with one three-operand
+//!   [`and3_popcount`](kernel::and3_popcount) instead of a counter merge
+//!   walk. It is exact only for Distinct, where a trajectory's value
+//!   depends on whether its meet count is zero; the other measures keep
+//!   the [`Allocation::eval_cross_swap`] / [`eval_replace_with_free`]
+//!   walks for overlapping pairs.
 //! * **Pair-level dirtiness.** Every scan the naive loops repeat is a
 //!   pure function of a small state fingerprint: plan exchanges read the
 //!   two advertisers' influences; cross-swap scans read the two
@@ -54,9 +68,12 @@
 //! The equivalence property tests below replay ALS and BLS end-to-end
 //! against the `naive_scan` twins across measures, regret regimes and
 //! demand-boundary crossings and require identical sets and regret.
+//!
+//! [`eval_replace_with_free`]: Allocation::eval_replace_with_free
 
 use crate::allocation::{AllocEvent, Allocation};
 use mroam_data::{AdvertiserId, BillboardId};
+use mroam_influence::{kernel, CoverageBitmap};
 use rayon::prelude::*;
 
 /// Below this many candidates a scan stays sequential. A parallel
@@ -140,24 +157,68 @@ pub struct MoveEngine {
     /// Allocated on first use; entries are only meaningful for current
     /// plan members.
     loss: Vec<Vec<u64>>,
-    /// Per advertiser: word-aligned bitset of the trajectories the plan
-    /// covers, sized to the model's
-    /// [`CoverageBitmap`](mroam_influence::CoverageBitmap) rows. Lets the
-    /// swap scans evaluate an exact Distinct gain as
-    /// `I({o}) − popcount(row(o) ∧ covered)` through the
-    /// [`kernel`](mroam_influence::kernel) dispatch point instead of an
-    /// `I({o})`-lookup counter walk. Invalidated whole (not per-bit) on
-    /// any own-plan move and rebuilt lazily per scan — one O(plan
-    /// coverage) OR pass amortised over an O(|S_a|·|free|) scan.
+    /// Per advertiser: the covered and exactly-once trajectory bitsets of
+    /// the plan, sized to the model's [`CoverageBitmap`] rows. They give
+    /// the swap scans exact Distinct gains as
+    /// `I({o}) − popcount(row(o) ∧ covered)` and exact swap deltas through
+    /// the `once` correction term (module docs). Invalidated whole (not
+    /// per-bit) on any own-plan move and rebuilt lazily per scan — one
+    /// O(|S_a|·words) pass amortised over an O(|S_a|·|free|) scan.
     covered: Vec<CoveredSet>,
 }
 
-/// A lazily rebuilt covered-trajectory bitset for one advertiser; see
+/// The lazily rebuilt bitsets of one advertiser's plan; see
 /// [`MoveEngine::covered`].
 #[derive(Debug, Clone, Default)]
 struct CoveredSet {
     valid: bool,
+    /// Trajectories at least one plan member covers.
     words: Vec<u64>,
+    /// Trajectories exactly one plan member covers.
+    once: Vec<u64>,
+}
+
+impl CoveredSet {
+    fn bits<'s>(&'s self, rows: &'s CoverageBitmap) -> PlanBits<'s> {
+        PlanBits {
+            rows,
+            covered: &self.words,
+            once: &self.once,
+        }
+    }
+}
+
+/// A scan's read-only view of one advertiser's plan bitsets, on the
+/// exact Distinct path.
+#[derive(Debug, Clone, Copy)]
+struct PlanBits<'s> {
+    rows: &'s CoverageBitmap,
+    covered: &'s [u64],
+    once: &'s [u64],
+}
+
+impl PlanBits<'_> {
+    /// Exact influence change of swapping plan member `out` for
+    /// non-member `inn`, given `inn`'s marginal gain and `out`'s unique
+    /// contribution: `gain − loss + |row(out) ∧ row(inn) ∧ once|`.
+    /// `adjacent` is whether the two share a trajectory; the correction
+    /// is zero when they do not, so the kernel is skipped.
+    #[inline]
+    fn swap_delta(
+        &self,
+        gain_in: i64,
+        loss_out: i64,
+        out: BillboardId,
+        inn: BillboardId,
+        adjacent: bool,
+    ) -> i64 {
+        let kept = if adjacent {
+            kernel::and3_popcount(self.rows.row(out.0), self.rows.row(inn.0), self.once) as i64
+        } else {
+            0
+        };
+        gain_in - loss_out + kept
+    }
 }
 
 impl MoveEngine {
@@ -254,34 +315,46 @@ impl MoveEngine {
         loss
     }
 
-    /// Ensures `a`'s covered bitset is current and returns whether the
-    /// bitmap gain path is usable at all: the `I({o}) − popcount` identity
-    /// only holds for the Distinct measure (overlap-sensitive *and*
-    /// submodular), and only while the model's coverage bitmap is within
-    /// budget. A stale bitset is rebuilt with one OR pass over the plan's
-    /// coverage lists — `coverage_count > 0` iff some member covers the
-    /// trajectory, so the OR of member rows is exactly the counter
-    /// support.
-    fn refresh_covered(&mut self, alloc: &Allocation<'_>, a: AdvertiserId) -> bool {
+    /// Ensures `a`'s plan bitsets are current and returns the coverage
+    /// bitmap when the exact bitmap path is usable at all: the
+    /// `I({o}) − popcount` and exactly-once identities only hold for the
+    /// Distinct measure (overlap-sensitive *and* submodular), and only
+    /// while the model's coverage bitmap is within budget. Stale bitsets
+    /// are rebuilt in one pass over the members' rows that tracks "seen"
+    /// and "seen twice": `coverage_count > 0` iff some member's row has
+    /// the bit, and `coverage_count == 1` iff exactly one does.
+    fn refresh_covered<'m>(
+        &mut self,
+        alloc: &Allocation<'m>,
+        a: AdvertiserId,
+    ) -> Option<&'m CoverageBitmap> {
         let measure = alloc.instance().measure;
         if !(measure.overlap_sensitive() && measure.is_submodular()) {
-            return false;
+            return None;
         }
-        let model = alloc.instance().model;
-        let Some(bm) = model.coverage_bitmap() else {
-            return false;
-        };
+        let bm = alloc.instance().model.coverage_bitmap()?;
         let slot = &mut self.covered[a.index()];
-        if slot.valid && slot.words.len() == bm.words_per_row() {
-            return true;
+        let len = bm.words_per_row();
+        if slot.valid && slot.words.len() == len {
+            return Some(bm);
         }
-        slot.words.clear();
-        slot.words.resize(bm.words_per_row(), 0);
+        // `once` doubles as the seen-twice accumulator until the end.
+        let (seen, twice) = (&mut slot.words, &mut slot.once);
+        seen.clear();
+        seen.resize(len, 0);
+        twice.clear();
+        twice.resize(len, 0);
         for &m in alloc.set_of(a) {
-            mroam_influence::kernel::or_merge(&mut slot.words, bm.row(m.0));
+            for ((s, t), &r) in seen.iter_mut().zip(twice.iter_mut()).zip(bm.row(m.0)) {
+                *t |= *s & r;
+                *s |= r;
+            }
+        }
+        for (t, &s) in twice.iter_mut().zip(seen.iter()) {
+            *t = s & !*t;
         }
         slot.valid = true;
-        true
+        Some(bm)
     }
 
     /// Exact Distinct marginal gain of adding free/foreign billboard `f`
@@ -291,20 +364,43 @@ impl MoveEngine {
     #[inline]
     fn gain_of(
         alloc: &Allocation<'_>,
-        covered: Option<&[u64]>,
+        bits: Option<PlanBits<'_>>,
         a: AdvertiserId,
         f: BillboardId,
     ) -> u64 {
-        let model = alloc.instance().model;
-        if let Some(c) = covered {
-            let infl = model.influence_of(f);
-            if infl as usize * 2 >= c.len() {
-                if let Some(bm) = model.coverage_bitmap() {
-                    return infl - bm.row_and_popcount(f.0, c);
-                }
+        if let Some(bits) = bits {
+            let infl = alloc.instance().model.influence_of(f);
+            if infl as usize * 2 >= bits.covered.len() {
+                return infl - bits.rows.row_and_popcount(f.0, bits.covered);
             }
         }
         alloc.marginal_gain(a, f)
+    }
+
+    /// The integer influence change the swap scans price swapping `a`'s
+    /// plan member `out` for non-member `inn` at, on the exact bitmap
+    /// path — the same prefetch helpers and formula the scans use.
+    #[cfg(test)]
+    fn exact_swap_delta(
+        &mut self,
+        alloc: &Allocation<'_>,
+        a: AdvertiserId,
+        out: BillboardId,
+        inn: BillboardId,
+    ) -> i64 {
+        self.drain(alloc);
+        let loss = self.loss_of(alloc, a, out) as i64;
+        let rows = self
+            .refresh_covered(alloc, a)
+            .expect("exact bitmap path available");
+        let bits = self.covered[a.index()].bits(rows);
+        let gain = Self::gain_of(alloc, Some(bits), a, inn) as i64;
+        let adjacent = alloc
+            .instance()
+            .model
+            .overlap_graph()
+            .are_adjacent(out.0, inn.0);
+        bits.swap_delta(gain, loss, out, inn, adjacent)
     }
 
     /// Whether exchanging the whole plans of `i` and `j` (the ALS move)
@@ -371,9 +467,11 @@ impl MoveEngine {
         }
 
         // Per-scan prefetch: unique contributions (cached, O(1) when
-        // clean) and cross-plan marginal gains (one coverage walk per
+        // clean) and cross-plan marginal gains (one evaluation per
         // member, not one per pair). A disjoint pair's deltas then fold
-        // in O(1); only overlapping pairs pay a counter merge.
+        // in O(1), an overlapping pair's with two exactly-once kernel
+        // passes (a counter merge walk for non-Distinct measures and
+        // over-budget bitmaps).
         let sa: &[BillboardId] = alloc.set_of(a);
         let sb: &[BillboardId] = alloc.set_of(b);
         let loss_a: Vec<i64> = sa
@@ -384,18 +482,19 @@ impl MoveEngine {
             .iter()
             .map(|&x| self.loss_of(alloc, b, x) as i64)
             .collect();
-        let cov_a = self.refresh_covered(alloc, a);
-        let cov_b = self.refresh_covered(alloc, b);
-        let covered_a = cov_a.then(|| self.covered[a.index()].words.as_slice());
-        let covered_b = cov_b.then(|| self.covered[b.index()].words.as_slice());
+        let rows_a = self.refresh_covered(alloc, a);
+        let rows_b = self.refresh_covered(alloc, b);
+        let bits_a = rows_a.map(|rows| self.covered[a.index()].bits(rows));
+        let bits_b = rows_b.map(|rows| self.covered[b.index()].bits(rows));
         let gain_a_of: Vec<i64> = sb
             .iter()
-            .map(|&x| Self::gain_of(alloc, covered_a, a, x) as i64)
+            .map(|&x| Self::gain_of(alloc, bits_a, a, x) as i64)
             .collect();
         let gain_b_of: Vec<i64> = sa
             .iter()
-            .map(|&m| Self::gain_of(alloc, covered_b, b, m) as i64)
+            .map(|&m| Self::gain_of(alloc, bits_b, b, m) as i64)
             .collect();
+        let exact = bits_a.zip(bits_b);
         let graph = alloc.instance().model.overlap_graph();
 
         let nb = sb.len();
@@ -403,14 +502,16 @@ impl MoveEngine {
         let improving = |p: usize| {
             let (mi, xi) = (p / nb, p % nb);
             let (m, x) = (sa[mi], sb[xi]);
-            let delta = if graph.are_adjacent(m.0, x.0) {
-                alloc.eval_cross_swap(m, x)
-            } else {
-                let di = gain_a_of[xi] - loss_a[mi];
-                let dj = gain_b_of[mi] - loss_b[xi];
-                alloc.eval_cross_swap_with_deltas(m, x, di, dj)
+            let adjacent = graph.are_adjacent(m.0, x.0);
+            let (di, dj) = match exact {
+                Some((ba, bb)) => (
+                    ba.swap_delta(gain_a_of[xi], loss_a[mi], m, x, adjacent),
+                    bb.swap_delta(gain_b_of[mi], loss_b[xi], x, m, adjacent),
+                ),
+                None if adjacent => return alloc.eval_cross_swap(m, x) < -threshold,
+                None => (gain_a_of[xi] - loss_a[mi], gain_b_of[mi] - loss_b[xi]),
             };
-            delta < -threshold
+            alloc.eval_cross_swap_with_deltas(m, x, di, dj) < -threshold
         };
         let hit = if total < par_min {
             (0..total).position(improving)
@@ -460,20 +561,23 @@ impl MoveEngine {
             .iter()
             .map(|&m| self.loss_of(alloc, a, m) as i64)
             .collect();
-        let has_covered = self.refresh_covered(alloc, a);
-        let covered = has_covered.then(|| self.covered[a.index()].words.as_slice());
+        let rows = self.refresh_covered(alloc, a);
+        let bits = rows.map(|rows| self.covered[a.index()].bits(rows));
         let graph = alloc.instance().model.overlap_graph();
         let free = alloc.free_billboards();
         for (mi, &m) in sa.iter().enumerate() {
             let loss_m = losses[mi];
             let improving = |&f: &BillboardId| {
-                let delta = if graph.are_adjacent(m.0, f.0) {
-                    alloc.eval_replace_with_free(m, f)
-                } else {
-                    let gain = Self::gain_of(alloc, covered, a, f) as i64;
-                    alloc.regret_delta_of_change(a, gain - loss_m)
+                let adjacent = graph.are_adjacent(m.0, f.0);
+                let change = match bits {
+                    Some(bits) => {
+                        let gain = Self::gain_of(alloc, Some(bits), a, f) as i64;
+                        bits.swap_delta(gain, loss_m, m, f, adjacent)
+                    }
+                    None if adjacent => return alloc.eval_replace_with_free(m, f) < -threshold,
+                    None => alloc.marginal_gain(a, f) as i64 - loss_m,
                 };
-                delta < -threshold
+                alloc.regret_delta_of_change(a, change) < -threshold
             };
             let hit = if free.len() < par_min {
                 free.iter().position(improving)
@@ -530,7 +634,7 @@ mod tests {
     use crate::bls::{billboard_local_search, Bls};
     use crate::instance::Instance;
     use crate::solver::Solver;
-    use mroam_influence::{CoverageModel, InfluenceMeasure};
+    use mroam_influence::{CoverageCounter, CoverageModel, InfluenceMeasure};
     use proptest::prelude::*;
 
     fn arb_instance() -> impl Strategy<Value = (Vec<Vec<u32>>, u32, Vec<(u64, f64)>)> {
@@ -546,6 +650,26 @@ mod tests {
             });
             let advertisers = proptest::collection::vec((1u64..40, 1.0..100.0f64), 1..5);
             (lists, Just(n_t), advertisers)
+        })
+    }
+
+    /// Models with 1–1,300 trajectories, so bitmap rows span up to 21
+    /// words — several 8-word kernel chunks plus ragged tails — with a
+    /// random owner per billboard (`>= advertisers.len()` means free).
+    #[allow(clippy::type_complexity)]
+    fn arb_wide_instance(
+    ) -> impl Strategy<Value = (Vec<Vec<u32>>, u32, Vec<usize>, Vec<(u64, f64)>)> {
+        (1u32..1301).prop_flat_map(|n_t| {
+            let lists =
+                proptest::collection::vec(proptest::collection::btree_set(0..n_t, 0..200), 2..12)
+                    .prop_map(|sets| {
+                        sets.into_iter()
+                            .map(|s| s.into_iter().collect::<Vec<u32>>())
+                            .collect::<Vec<_>>()
+                    });
+            let owners = proptest::collection::vec(0usize..5, 12);
+            let advertisers = proptest::collection::vec((1u64..400, 1.0..100.0f64), 1..4);
+            (lists, Just(n_t), owners, advertisers)
         })
     }
 
@@ -644,6 +768,9 @@ mod tests {
         /// BLS produce bit-identical solutions (same sets, same regret —
         /// hence the same move sequence) to the naive-scan paths, across
         /// measures, γ regimes and demand-boundary crossings.
+        /// Run twice per case: with the coverage bitmap (the exact
+        /// bitmap path under Distinct) and with it disabled by a zero
+        /// budget, which keeps the counter-walk fallback covered.
         #[test]
         fn solvers_bit_identical_engine_vs_naive(
             (lists, n_t, advs) in arb_instance(),
@@ -651,30 +778,94 @@ mod tests {
             measure in arb_measure(),
             ratio in (0usize..2).prop_map(|i| if i == 0 { 0.0 } else { 0.05 }),
         ) {
-            let model = CoverageModel::from_lists(lists, n_t as usize);
             let advertisers = AdvertiserSet::new(
                 advs.iter().map(|&(d, p)| Advertiser::new(d, p)).collect(),
             );
-            let inst = Instance::with_measure(&model, &advertisers, gamma, measure);
+            for budget in [usize::MAX, 0] {
+                let model = CoverageModel::from_lists(lists.clone(), n_t as usize)
+                    .with_bitmap_budget(budget);
+                let inst = Instance::with_measure(&model, &advertisers, gamma, measure);
 
-            let lazy = Bls { restarts: 2, seed: 11, improvement_ratio: ratio, ..Bls::default() }
+                let lazy = Bls { restarts: 2, seed: 11, improvement_ratio: ratio, ..Bls::default() }
+                    .solve(&inst);
+                let naive = Bls {
+                    restarts: 2,
+                    seed: 11,
+                    improvement_ratio: ratio,
+                    naive_scan: true,
+                    ..Bls::default()
+                }
                 .solve(&inst);
-            let naive = Bls {
-                restarts: 2,
-                seed: 11,
-                improvement_ratio: ratio,
-                naive_scan: true,
-                ..Bls::default()
+                prop_assert_eq!(&lazy.sets, &naive.sets, "BLS sets diverge (budget {})", budget);
+                prop_assert_eq!(lazy.total_regret, naive.total_regret);
+
+                let lazy = Als { restarts: 2, seed: 11, ..Als::default() }.solve(&inst);
+                let naive = Als { restarts: 2, seed: 11, naive_scan: true, ..Als::default() }
+                    .solve(&inst);
+                prop_assert_eq!(&lazy.sets, &naive.sets, "ALS sets diverge (budget {})", budget);
+                prop_assert_eq!(lazy.total_regret, naive.total_regret);
             }
-            .solve(&inst);
-            prop_assert_eq!(&lazy.sets, &naive.sets, "BLS sets diverge");
-            prop_assert_eq!(lazy.total_regret, naive.total_regret);
+        }
 
-            let lazy = Als { restarts: 2, seed: 11, ..Als::default() }.solve(&inst);
-            let naive = Als { restarts: 2, seed: 11, naive_scan: true, ..Als::default() }
-                .solve(&inst);
-            prop_assert_eq!(&lazy.sets, &naive.sets, "ALS sets diverge");
-            prop_assert_eq!(lazy.total_regret, naive.total_regret);
+        /// The exactly-once identity on multi-word rows: for every
+        /// (member, foreign member) and (member, free) pair, overlapping
+        /// pairs included, the engine's integer swap delta equals the
+        /// counter merge walk on both sides. Then the finders replay
+        /// against the naive scans on the same wide model.
+        #[test]
+        fn exact_swap_deltas_match_counter_walks_on_wide_rows(
+            (lists, n_t, owners, advs) in arb_wide_instance(),
+        ) {
+            let n_b = lists.len();
+            let model = CoverageModel::from_lists(lists, n_t as usize)
+                .with_bitmap_budget(usize::MAX);
+            let n_a = advs.len();
+            let advertisers = AdvertiserSet::new(
+                advs.iter().map(|&(d, p)| Advertiser::new(d, p)).collect(),
+            );
+            let mut sets = vec![Vec::new(); n_a];
+            for (b, &owner) in owners.iter().take(n_b).enumerate() {
+                if owner < n_a {
+                    sets[owner].push(BillboardId::from_index(b));
+                }
+            }
+            let inst = Instance::new(&model, &advertisers, 0.5);
+            let mut naive = Allocation::from_sets(inst, &sets);
+            let mut lazy = Allocation::from_sets(inst, &sets);
+            let mut engine = MoveEngine::new(&lazy);
+            let counters: Vec<CoverageCounter> = sets
+                .iter()
+                .map(|set| {
+                    let mut c = CoverageCounter::dense(n_t as usize);
+                    for &m in set {
+                        c.add(model.coverage(m));
+                    }
+                    c
+                })
+                .collect();
+            let walk = |a: usize, out: BillboardId, inn: BillboardId| {
+                counters[a].swap_delta(model.coverage(out), model.coverage(inn))
+            };
+            for a in 0..n_a {
+                let aid = AdvertiserId::from_index(a);
+                for &m in &sets[a] {
+                    for b in (0..n_a).filter(|&b| b != a) {
+                        let bid = AdvertiserId::from_index(b);
+                        for &x in &sets[b] {
+                            prop_assert_eq!(engine.exact_swap_delta(&lazy, aid, m, x), walk(a, m, x));
+                            prop_assert_eq!(engine.exact_swap_delta(&lazy, bid, x, m), walk(b, x, m));
+                        }
+                    }
+                    for &f in lazy.free_billboards() {
+                        prop_assert_eq!(engine.exact_swap_delta(&lazy, aid, m, f), walk(a, m, f));
+                    }
+                }
+            }
+            let params = Bls::default();
+            if let Err(msg) = replay_moves_in_lockstep(&mut naive, &mut lazy, &mut engine, &params) {
+                prop_assert!(false, "{}", msg);
+            }
+            lazy.check_invariants();
         }
 
         /// Finer grain than the end-to-end test: every individual move

@@ -1,18 +1,15 @@
-//! `exp_scale` — the scale-layer benchmark: kernel on/off × mmap on/off,
-//! plus partitioned pick-round task sweeps, recorded as the
-//! `results/BENCH_scale.json` baseline.
+//! `exp_scale` — the scale-layer benchmark: mmap on/off plus partitioned
+//! pick-round task sweeps, recorded as the `results/BENCH_scale.json`
+//! baseline.
 //!
 //! ```text
 //! exp_scale [--city nyc] [--scale bench] [--trajectories N] [--iters 5]
 //!           [--date YYYY-MM-DD] [--out results/BENCH_scale.json]
 //! ```
 //!
-//! Three axes, all on the same fixture city (λ = 100 m, the Section 7.1.2
+//! Two axes, both on the same fixture city (λ = 100 m, the Section 7.1.2
 //! workload at α = 1.0, p = 0.05, γ = 0.5):
 //!
-//! * **kernel** — `G-Global` end-to-end and a bitmap union sweep with the
-//!   bit kernels forced to `scalar` vs `chunked` (the 8-lane dispatch
-//!   default). Solutions are asserted identical first.
 //! * **pick rounds** — one full round of `GainEngine::best_billboard`
 //!   picks with the partitioned frontier scan forced to 1/2/4/8 tasks;
 //!   picks are asserted bit-identical to the sequential scan.
@@ -27,7 +24,6 @@
 use mroam_core::prelude::*;
 use mroam_datagen::WorkloadConfig;
 use mroam_experiments::{rss, setup, Args, CityKind};
-use mroam_influence::kernel::{self, Kernel};
 use mroam_influence::storage::{self, ModelFingerprint};
 use mroam_influence::CoverageModel;
 use std::fmt::Write as _;
@@ -72,47 +68,6 @@ fn main() {
     );
 
     let mut rows: Vec<(String, f64)> = Vec::new();
-
-    // ---- kernel axis -------------------------------------------------
-    // Identity gate first: forcing either kernel must not change the
-    // G-Global solution.
-    kernel::force(Kernel::Scalar);
-    let scalar_sol = GGlobal.solve(&instance);
-    kernel::force(Kernel::Chunked);
-    let chunked_sol = GGlobal.solve(&instance);
-    assert_eq!(scalar_sol.sets, chunked_sol.sets, "kernel changed G-Global");
-    assert_eq!(scalar_sol.total_regret, chunked_sol.total_regret);
-
-    let all_ids: Vec<_> = model.billboard_ids().collect();
-    let bitmap = model
-        .coverage_bitmap()
-        .expect("fixture fits the bitmap budget");
-    let mask = bitmap.row(0).to_vec();
-    for (name, k) in [("scalar", Kernel::Scalar), ("chunked", Kernel::Chunked)] {
-        kernel::force(k);
-        rows.push((
-            format!("kernel/{name}/g_global_solve"),
-            time_mean(iters, || GGlobal.solve(&instance)),
-        ));
-        rows.push((
-            format!("kernel/{name}/bitmap_union_sweep"),
-            time_mean(iters, || model.set_influence(all_ids.iter().copied())),
-        ));
-        // Pure kernel row: AND+popcount of every bitmap row against a
-        // fixed covered mask — the exact-gain primitive with no engine or
-        // allocation noise around it.
-        rows.push((
-            format!("kernel/{name}/and_popcount_rows"),
-            time_mean(iters.max(20), || {
-                let mut acc = 0u64;
-                for b in 0..model.n_billboards() as u32 {
-                    acc += bitmap.row_and_popcount(b, &mask);
-                }
-                acc
-            }),
-        ));
-    }
-    kernel::force(Kernel::Chunked);
 
     // ---- pick-round axis ---------------------------------------------
     // One full round of first picks per task count, asserted identical.
@@ -183,20 +138,11 @@ fn main() {
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let speedup = |num: &str, den: &str| -> f64 {
-        let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|&(_, v)| v).unwrap();
-        get(num) / get(den)
-    };
-    let kernel_speedup = speedup(
-        "kernel/scalar/g_global_solve",
-        "kernel/chunked/g_global_solve",
-    );
-    let sweep_speedup = speedup(
-        "kernel/scalar/bitmap_union_sweep",
-        "kernel/chunked/bitmap_union_sweep",
-    );
     #[cfg(feature = "mmap")]
-    let mmap_open_speedup = speedup("mmap/off/heap_decode", "mmap/on/map_open");
+    let mmap_open_speedup = {
+        let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|&(_, v)| v).unwrap();
+        get("mmap/off/heap_decode") / get("mmap/on/map_open")
+    };
     #[cfg(not(feature = "mmap"))]
     let mmap_open_speedup = f64::NAN; // axis compiled out
 
@@ -234,18 +180,7 @@ fn main() {
         .unwrap();
     }
     writeln!(json, "  ],").unwrap();
-    let kernel_micro_speedup = speedup(
-        "kernel/scalar/and_popcount_rows",
-        "kernel/chunked/and_popcount_rows",
-    );
-    let mut speedups = vec![
-        ("kernel_chunked_vs_scalar_g_global", kernel_speedup),
-        ("kernel_chunked_vs_scalar_bitmap_sweep", sweep_speedup),
-        (
-            "kernel_chunked_vs_scalar_and_popcount",
-            kernel_micro_speedup,
-        ),
-    ];
+    let mut speedups = Vec::new();
     if mmap_open_speedup.is_finite() {
         speedups.push(("mmap_open_vs_heap_decode", mmap_open_speedup));
     }
@@ -267,17 +202,12 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "    \"All cross-axis identity gates ran in-process before timing: G-Global solutions identical under both kernels, pick rounds identical at 1/2/4/8 tasks, heap and mmap models answer the query sweep identically.\","
+        "    \"All cross-axis identity gates ran in-process before timing: pick rounds identical at 1/2/4/8 tasks, heap and mmap models answer the query sweep identically.\","
     )
     .unwrap();
     writeln!(
         json,
-        "    \"mmap/on/map_open validates the checksum with one sequential file pass, so its advantage over the heap decode is avoided allocation + lazy paging, not skipped I/O; the query sweep rows compare steady-state answer costs.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"Kernel chunked ~= scalar on this host: LLVM already lowers the scalar popcount fold to hardware popcnt and unrolls it, so the 8-lane chunked layout has no extra ILP to claim at one thread. The chunked path is kept as the default because it is never slower, is proptested bit-identical, and is the layout wide-SIMD hosts (AVX2/AVX-512) vectorise; re-record there for the speedup.\""
+        "    \"mmap/on/map_open validates the checksum with one sequential file pass, so its advantage over the heap decode is avoided allocation + lazy paging, not skipped I/O; the query sweep rows compare steady-state answer costs.\""
     )
     .unwrap();
     writeln!(json, "  ]").unwrap();
@@ -290,7 +220,5 @@ fn main() {
         }
         None => print!("{json}"),
     }
-    eprintln!(
-        "[exp_scale] kernel chunked vs scalar: {kernel_speedup:.2}x (solve), {sweep_speedup:.2}x (bitmap sweep); mmap open vs decode: {mmap_open_speedup:.2}x"
-    );
+    eprintln!("[exp_scale] mmap open vs decode: {mmap_open_speedup:.2}x");
 }

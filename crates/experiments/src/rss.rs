@@ -36,8 +36,10 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn probes_report_plausible_sizes() {
-        let peak = peak_rss_bytes().expect("VmHWM available on Linux");
+        // Current first: other tests in this binary allocate concurrently,
+        // and a high-water mark read later can only be higher.
         let cur = current_rss_bytes().expect("VmRSS available on Linux");
+        let peak = peak_rss_bytes().expect("VmHWM available on Linux");
         // A running test binary is at least a few hundred KiB resident and
         // the high-water mark can never be below the current residency.
         assert!(cur > 100 * 1024, "current rss {cur}");

@@ -65,8 +65,7 @@ impl BitSet {
         self.blocks[b] & mask != 0
     }
 
-    /// Number of ids present (popcount over blocks, through the
-    /// [`kernel`] dispatch point).
+    /// Number of ids present ([`kernel::popcount`] over the blocks).
     pub fn len(&self) -> usize {
         kernel::popcount(&self.blocks) as usize
     }

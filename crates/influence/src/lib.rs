@@ -10,7 +10,7 @@
 //!
 //! * [`bitset::BitSet`] — a fixed-size bitset substrate,
 //! * [`kernel`] — the chunked popcount/AND/OR word kernels every bit-level
-//!   hot loop dispatches through,
+//!   hot loop bottoms out in,
 //! * [`hash`] — an FxHash-style hasher for hot integer-keyed maps,
 //! * [`meets`] — computes the billboard→trajectory meets relation with a
 //!   grid index (parallelised over trajectories),

@@ -770,8 +770,7 @@ impl CoverageBitmap {
         &self.bits[lo..lo + self.words_per_row]
     }
 
-    /// Popcount of row `b` — `I({o_b})` recomputed from the bits, through
-    /// the [`kernel`](crate::kernel) dispatch point.
+    /// Popcount of row `b` — `I({o_b})` recomputed from the bits.
     #[inline]
     pub fn row_popcount(&self, b: u32) -> u64 {
         crate::kernel::popcount(self.row(b))
@@ -780,8 +779,7 @@ impl CoverageBitmap {
     /// Popcount of `row(b) ∧ other` — the number of trajectories billboard
     /// `b` shares with an externally maintained covered bitset. `other`
     /// must be [`words_per_row`](Self::words_per_row) words long. This is
-    /// the exact-gain primitive of the lazy engines, routed through the
-    /// [`kernel`](crate::kernel) dispatch point.
+    /// the exact-gain primitive of the lazy engines.
     #[inline]
     pub fn row_and_popcount(&self, b: u32, other: &[u64]) -> u64 {
         crate::kernel::and_popcount(self.row(b), other)

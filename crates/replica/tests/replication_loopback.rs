@@ -103,13 +103,18 @@ fn head_seq(leader: &mut Client) -> u64 {
     v["stats"]["wal_next_seq"].as_f64().expect("wal_next_seq") as u64 - 1
 }
 
-/// Polls the follower's `stats` until it advertises `seq` applied.
+/// Polls the follower's `stats` until it has a world (its first
+/// snapshot installed) and advertises `seq` applied. A fresh leader's head
+/// is seq 0, which a follower without a world also reports applied.
 fn wait_follower_at(follower: &mut Client, seq: u64) {
     let started = Instant::now();
     loop {
         let v = follower.call(&Request::Stats { id: 91 }).expect("stats");
         let applied = v["stats"]["repl_applied_seq"].as_f64().unwrap_or(0.0) as u64;
-        if applied >= seq {
+        let snapshots = v["stats"]["repl_snapshots_received"]
+            .as_f64()
+            .unwrap_or(0.0);
+        if snapshots >= 1.0 && applied >= seq {
             return;
         }
         assert!(

@@ -8,18 +8,42 @@
 //! the same substrate the coverage-model storage format uses.
 
 use bytes::{Buf, BufMut};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on a single frame's payload. Snapshots of bench-scale
 /// cities fit comfortably; anything larger is a corrupt or hostile stream.
 pub const MAX_FRAME_LEN: u64 = 256 << 20;
 
 /// Writes one frame (header + payload) and flushes.
+///
+/// Header and payload leave in one vectored write, not two writes: on a
+/// socket, a lone 8-byte header write followed by the payload write is
+/// the write-write-read pattern that stalls each reply on Nagle's
+/// algorithm plus the peer's delayed ACK. The payload is not copied, so a
+/// multi-megabyte snapshot costs no extra buffer. Short writes continue
+/// from where the previous call stopped.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let mut header = Vec::with_capacity(8);
     header.put_u64_le(payload.len() as u64);
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut sent = 0;
+    while sent < header.len() + payload.len() {
+        let result = if sent < header.len() {
+            w.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[sent - header.len()..])
+        };
+        match result {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -87,6 +111,66 @@ mod tests {
         wire.truncate(9);
         let mut r = Cursor::new(wire);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A writer that accepts at most `cap` bytes per call and records the
+    /// calls, standing in for a socket that takes partial writes.
+    struct Trickle {
+        cap: usize,
+        wire: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.cap - n);
+                self.wire.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_when_the_writer_takes_it_whole() {
+        let mut w = Trickle {
+            cap: usize::MAX,
+            wire: Vec::new(),
+            calls: 0,
+        };
+        write_frame(&mut w, b"{\"a\":1}").unwrap();
+        assert_eq!(w.calls, 1);
+        let mut want = Vec::new();
+        want.put_u64_le(7);
+        want.extend_from_slice(b"{\"a\":1}");
+        assert_eq!(w.wire, want);
+    }
+
+    #[test]
+    fn short_writes_resume_without_changing_the_bytes() {
+        let payload: Vec<u8> = (0..100u8).collect();
+        for cap in [1, 3, 8, 9, 50] {
+            let mut w = Trickle {
+                cap,
+                wire: Vec::new(),
+                calls: 0,
+            };
+            write_frame(&mut w, &payload).unwrap();
+            let mut r = Cursor::new(w.wire);
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload, "cap {cap}");
+            assert!(read_frame(&mut r).unwrap().is_none());
+        }
     }
 
     #[test]

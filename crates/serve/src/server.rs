@@ -332,6 +332,9 @@ fn accept_loop(
 /// are detached: they exit when the client disconnects or the server
 /// shuts the socket down.
 fn spawn_connection(stream: TcpStream, tx: Sender<Incoming>) {
+    // A reply is latency-bound: its last segment must leave at once, not
+    // wait under Nagle for the ACK of the previous one.
+    let _ = stream.set_nodelay(true);
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
