@@ -12,9 +12,9 @@
 //! * `model_build_precompute` — the full eager warm-up
 //!   ([`CoverageModel::precompute`]) versus the meets computation it
 //!   follows, which is what a cold `mroam`/`mroam-served` start pays.
-//! * `model_cache` — storage-v2 encode and fingerprint-checked decode of
-//!   a model with derived sections, versus rebuilding from the stores:
-//!   the cache-hit vs cache-miss gap of `--model-cache`.
+//! * `model_cache` — storage encode and fingerprint-checked heap decode
+//!   of a model file (derived sections included), versus rebuilding from
+//!   the stores: the cache-hit vs cache-miss gap of `--model-cache`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mroam_bench::nyc_city;
@@ -78,14 +78,14 @@ fn bench_cache(c: &mut Criterion) {
     let model = city.coverage(100.0);
     model.precompute();
     let fingerprint = ModelFingerprint::new(&city.billboards, &city.trajectories, 100.0);
-    let bytes = storage::encode_v2(&model, &fingerprint, true);
+    let bytes = storage::encode(&model, &fingerprint);
 
     let mut group = c.benchmark_group("model_cache");
-    group.bench_function("encode_v2_derived", |b| {
-        b.iter(|| storage::encode_v2(&model, &fingerprint, true))
+    group.bench_function("encode", |b| {
+        b.iter(|| storage::encode(&model, &fingerprint))
     });
-    group.bench_function("decode_v2_checked", |b| {
-        b.iter(|| storage::read_model_checked(&bytes, &fingerprint).expect("fresh cache"))
+    group.bench_function("decode_checked", |b| {
+        b.iter(|| storage::read_model(&bytes, &fingerprint).expect("fresh cache"))
     });
     group.bench_function("rebuild_from_stores", |b| {
         b.iter(|| {

@@ -13,8 +13,8 @@
 //! The on-disk representation of a column is its records back to back in
 //! little-endian byte order at an 8-byte-aligned offset; the helpers at
 //! the bottom ([`put_pod_section`], [`read_pod_vec`], [`align8`]) are
-//! shared by the trajectory columnar file and the influence crate's v3
-//! model sections so both formats stay layout-compatible.
+//! shared by the trajectory columnar file and the influence crate's
+//! model file sections so both formats stay layout-compatible.
 
 #[cfg(feature = "mmap")]
 use crate::mmap::Mmap;

@@ -13,7 +13,7 @@
 //! * **pick rounds** — one full round of `GainEngine::best_billboard`
 //!   picks with the partitioned frontier scan forced to 1/2/4/8 tasks;
 //!   picks are asserted bit-identical to the sequential scan.
-//! * **mmap** — the v3 model file decoded onto the heap vs memory-mapped
+//! * **mmap** — the model file decoded onto the heap vs memory-mapped
 //!   (`storage::open_model_mmap`), then an identical query sweep on both
 //!   models; answers are asserted equal.
 //!
@@ -90,11 +90,11 @@ fn main() {
 
     // ---- mmap axis ---------------------------------------------------
     let fingerprint = ModelFingerprint::new(&city.billboards, &city.trajectories, lambda);
-    let bytes = storage::encode_v3(&model, &fingerprint, true);
+    let bytes = storage::encode(&model, &fingerprint);
     rows.push((
         "mmap/off/heap_decode".into(),
         time_mean(iters, || {
-            storage::read_model_checked(&bytes, &fingerprint).expect("decode")
+            storage::read_model(&bytes, &fingerprint).expect("decode")
         }),
     ));
     let sweep = |m: &CoverageModel| -> (u64, usize) {
@@ -105,7 +105,7 @@ fn main() {
             .sum();
         (influence, touched)
     };
-    let heap_model = storage::read_model_checked(&bytes, &fingerprint).expect("decode");
+    let heap_model = storage::read_model(&bytes, &fingerprint).expect("decode");
     rows.push((
         "mmap/off/query_sweep".into(),
         time_mean(iters, || sweep(&heap_model)),
@@ -113,14 +113,14 @@ fn main() {
     #[cfg(feature = "mmap")]
     {
         let path = std::env::temp_dir().join(format!("mroam_exp_scale_{}.cov", std::process::id()));
-        std::fs::write(&path, &bytes).expect("write v3 cache");
+        std::fs::write(&path, &bytes).expect("write model file");
         rows.push((
             "mmap/on/map_open".into(),
             time_mean(iters, || {
-                storage::open_model_mmap(&path, Some(&fingerprint)).expect("mmap")
+                storage::open_model_mmap(&path, &fingerprint).expect("mmap")
             }),
         ));
-        let mapped_model = storage::open_model_mmap(&path, Some(&fingerprint)).expect("mmap");
+        let mapped_model = storage::open_model_mmap(&path, &fingerprint).expect("mmap");
         assert!(mapped_model.coverage_lists().is_mapped());
         assert_eq!(
             sweep(&heap_model),

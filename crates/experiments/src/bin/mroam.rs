@@ -18,8 +18,8 @@
 //!       [--gamma 0.5]
 //!     Print the Table 5 statistics row for a dataset. With --memory 1,
 //!     also build (or load) the coverage model and print the per-structure
-//!     resident-size breakdown, split heap vs mapped — run with
-//!     MROAM_MMAP=1 and a v3 --model-cache to see the mmap savings. With
+//!     resident-size breakdown, split heap vs mapped — a --model-cache hit
+//!     shows the mmap savings. With
 //!     --threads 1, print the work-stealing pool's counters (width, jobs,
 //!     steals, park ratio); combined with --memory the numbers reflect
 //!     the model build that just ran. With --shards N, partition the
@@ -32,7 +32,8 @@
 //! mroam coverage --billboards b.csv --trajectories t.csv --lambda 100
 //!       --out model.cov
 //!     Precompute the meets relation and save it in the binary coverage
-//!     format (see mroam_influence::storage).
+//!     format (see mroam_influence::storage) — the same file --model-cache
+//!     writes for these inputs, so it serves as one.
 //!
 //! mroam gen --city nyc --scale test --out-prefix data/nyc
 //!       [--trajectories N] [--billboards N] [--seed S] [--stream 1]
@@ -75,11 +76,12 @@
 
 use mroam_core::prelude::*;
 use mroam_data::csv;
-use mroam_data::DatasetStats;
+use mroam_data::{BillboardStore, DatasetStats, TrajectoryStore};
 use mroam_experiments::cache::{self, CacheStatus};
 use mroam_experiments::cli_io;
 use mroam_experiments::{setup, Args, CityKind, Scale};
-use mroam_influence::{storage, CoverageModel, InfluenceMeasure};
+use mroam_influence::storage::ModelFingerprint;
+use mroam_influence::{CoverageModel, InfluenceMeasure};
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -120,7 +122,8 @@ fn required(args: &Args, key: &str) -> String {
         .to_string()
 }
 
-fn load_model(args: &Args) -> CoverageModel {
+/// Reads `--billboards`/`--trajectories` and `--lambda` (default 100 m).
+fn load_inputs(args: &Args) -> (BillboardStore, TrajectoryStore, f64) {
     let billboards_path = required(args, "billboards");
     let trajectories_path = required(args, "trajectories");
     let lambda = args.f64_or("lambda", 100.0);
@@ -145,10 +148,22 @@ fn load_model(args: &Args) -> CoverageModel {
         billboards.len(),
         trajectories.len()
     );
+    (billboards, trajectories, lambda)
+}
+
+/// The coverage model at `lambda`, warm: through the `--model-cache` file
+/// when one is given (reporting whether it was loaded or built), else
+/// built in memory.
+fn model_for(
+    args: &Args,
+    billboards: &BillboardStore,
+    trajectories: &TrajectoryStore,
+    lambda: f64,
+) -> CoverageModel {
     if let Some(cache_file) = args.get("model-cache") {
         let start = std::time::Instant::now();
         let (model, status) =
-            cache::load_or_build(&billboards, &trajectories, lambda, Path::new(cache_file));
+            cache::load_or_build(billboards, trajectories, lambda, Path::new(cache_file));
         eprintln!(
             "[mroam] model {} {cache_file} in {:.1?}",
             match status {
@@ -159,7 +174,7 @@ fn load_model(args: &Args) -> CoverageModel {
         );
         return model;
     }
-    let model = CoverageModel::build(&billboards, &trajectories, lambda);
+    let model = CoverageModel::build(billboards, trajectories, lambda);
     model.precompute();
     model
 }
@@ -183,7 +198,8 @@ fn parse_measure(args: &Args) -> InfluenceMeasure {
 }
 
 fn cmd_solve(args: &Args) {
-    let model = load_model(args);
+    let (billboards, trajectories, lambda) = load_inputs(args);
+    let model = model_for(args, &billboards, &trajectories, lambda);
     let advertisers_path = required(args, "advertisers");
     let advertisers = cli_io::read_advertisers(File::open(&advertisers_path).unwrap_or_else(|e| {
         eprintln!("cannot open {advertisers_path}: {e}");
@@ -372,21 +388,12 @@ fn print_replication_stats(args: &Args) {
 /// `--advertisers`) one sharded solve's routing and timing breakdown.
 fn print_shard_breakdown(
     args: &Args,
-    billboards: &mroam_data::BillboardStore,
-    trajectories: &mroam_data::TrajectoryStore,
+    billboards: &BillboardStore,
+    trajectories: &TrajectoryStore,
     n_shards: usize,
 ) {
     let lambda = args.f64_or("lambda", 100.0);
-    let model = match args.get("model-cache") {
-        Some(cache_file) => {
-            cache::load_or_build(billboards, trajectories, lambda, Path::new(cache_file)).0
-        }
-        None => {
-            let model = CoverageModel::build(billboards, trajectories, lambda);
-            model.precompute();
-            model
-        }
-    };
+    let model = model_for(args, billboards, trajectories, lambda);
     let part = mroam_geo::SpatialPartition::build(billboards.locations(), lambda, n_shards);
     let assignment = part.assign(billboards.locations());
     let report = mroam_influence::shard::boundary_report(&model, &assignment, n_shards);
@@ -491,26 +498,15 @@ fn print_thread_stats() {
 
 /// `mroam stats --memory 1`: the resident-size breakdown of the stores
 /// and a coverage model over them (heap vs file-mapped bytes per
-/// structure), so the savings from `MROAM_MMAP=1` + a v3 `--model-cache`
-/// are directly observable.
+/// structure), so the savings of a mapped `--model-cache` hit are
+/// directly observable.
 fn print_memory_breakdown(
     args: &Args,
-    billboards: &mroam_data::BillboardStore,
-    trajectories: &mroam_data::TrajectoryStore,
+    billboards: &BillboardStore,
+    trajectories: &TrajectoryStore,
 ) {
     let lambda = args.f64_or("lambda", 100.0);
-    let model = match args.get("model-cache") {
-        Some(cache_file) => {
-            let (model, _) =
-                cache::load_or_build(billboards, trajectories, lambda, Path::new(cache_file));
-            model
-        }
-        None => {
-            let model = CoverageModel::build(billboards, trajectories, lambda);
-            model.precompute();
-            model
-        }
-    };
+    let model = model_for(args, billboards, trajectories, lambda);
     let m = model.memory_stats();
     let billboard_bytes = billboards.len()
         * (std::mem::size_of::<mroam_geo::Point>() + 8 * usize::from(billboards.has_costs()));
@@ -549,19 +545,18 @@ fn print_memory_breakdown(
 }
 
 fn cmd_coverage(args: &Args) {
-    let model = load_model(args);
     let out = required(args, "out");
-    let bytes = storage::encode(&model);
-    let mut f = File::create(&out).unwrap_or_else(|e| {
-        eprintln!("cannot create {out}: {e}");
+    let (billboards, trajectories, lambda) = load_inputs(args);
+    let model = CoverageModel::build(&billboards, &trajectories, lambda);
+    let fingerprint = ModelFingerprint::new(&billboards, &trajectories, lambda);
+    let len = cache::save(Path::new(&out), &model, &fingerprint).unwrap_or_else(|e| {
+        eprintln!("cannot write {out}: {e}");
         exit(1);
     });
-    f.write_all(&bytes).expect("write model");
     println!(
-        "coverage model ({} billboards, supply {}) written to {out} ({} bytes)",
+        "coverage model ({} billboards, supply {}) written to {out} ({len} bytes)",
         model.n_billboards(),
         model.supply(),
-        bytes.len()
     );
 }
 

@@ -1,30 +1,33 @@
 //! Fingerprinted on-disk model cache shared by the `mroam` CLI, the
 //! experiment binaries, and the serving daemon.
 //!
-//! The cache file is the storage v3 format: coverage lists plus the
+//! The cache file is the [`storage`] format: coverage lists plus the
 //! derived CSR structures as fixed-width 8-aligned sections, keyed by a
 //! [`ModelFingerprint`] of the inputs (λ, store checksum, dimensions).
-//! `load_or_build` is the one entry point: a fresh file is decode +
-//! verify, anything else (missing, stale λ or city, corrupt, legacy
-//! format) falls back to a full build and rewrites the file. The cache is
+//! `load_or_build` is the one entry point: a fresh file is opened,
+//! anything else (missing, stale λ or city, corrupt, older format
+//! version) falls back to a full build and rewrites the file. The cache is
 //! advisory — I/O failures log and degrade to building, never abort.
 //!
-//! With `MROAM_MMAP=1` (and the default `mmap` feature) a fresh v3 file
-//! is *mapped* instead of decoded: the coverage and derived CSR columns
-//! stay on disk and page in lazily, so models larger than RAM serve
-//! queries with identical semantics at a fraction of the resident
-//! footprint. v1/v2 files degrade gracefully to the heap decode.
+//! How a fresh file opens is fixed at build time. With the `mmap` feature
+//! (the default) it is *mapped*: the coverage and derived CSR columns stay
+//! on disk and page in lazily, so models larger than RAM serve queries
+//! with identical semantics at a fraction of the resident footprint.
+//! Without it the file is decoded onto the heap. Files are replaced by
+//! rename, never rewritten in place, so a model mapped from a path keeps
+//! reading the file it mapped.
 
 use mroam_data::{BillboardStore, TrajectoryStore};
 use mroam_datagen::City;
-use mroam_influence::storage::{self, ModelFingerprint};
+use mroam_influence::storage::{self, ModelFingerprint, StorageError};
 use mroam_influence::CoverageModel;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// How [`load_or_build`] obtained its model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheStatus {
-    /// Decoded from a fresh cache file (fingerprint verified, derived
+    /// Opened from a fresh cache file (fingerprint verified, derived
     /// structures pre-installed).
     Hit,
     /// Built from the stores — the file was missing, stale, or unreadable
@@ -41,52 +44,48 @@ pub fn cache_path(dir: &Path, city: &str, lambda_m: f64) -> PathBuf {
     dir.join(format!("{}_{lambda_um}.cov", city.to_ascii_lowercase()))
 }
 
-/// Whether cache loads should map the file instead of decoding it onto
-/// the heap: `MROAM_MMAP=1` (or any value other than `0`/empty). Read
-/// afresh per load so tests and re-exec'd processes see the current
-/// environment.
-pub fn mmap_requested() -> bool {
-    std::env::var("MROAM_MMAP")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
+/// Opens a model file the way this build serves models: mapped.
+#[cfg(feature = "mmap")]
+fn open(path: &Path, fingerprint: &ModelFingerprint) -> Result<CoverageModel, StorageError> {
+    storage::open_model_mmap(path, fingerprint)
 }
 
-/// Attempts the mmap load path; `None` means "fall through to the heap
-/// path" (feature off, env off, or any error — mmap is an optimisation,
-/// never a correctness gate).
-fn try_open_mmap(path: &Path, fingerprint: &ModelFingerprint) -> Option<CoverageModel> {
-    if !mmap_requested() {
-        return None;
+/// Opens a model file the way this build serves models: decoded onto the
+/// heap (the `mmap` feature is compiled out).
+#[cfg(not(feature = "mmap"))]
+fn open(path: &Path, fingerprint: &ModelFingerprint) -> Result<CoverageModel, StorageError> {
+    let bytes = std::fs::read(path).map_err(|e| StorageError::Io(e.kind()))?;
+    storage::read_model(&bytes, fingerprint)
+}
+
+/// Writes `model`, built from the inputs `fingerprint` names, to `path`
+/// exactly as [`load_or_build`] caches it, and returns the file size. The
+/// bytes go to a temporary file in the same directory that is then
+/// renamed over `path`, so a model already mapped from `path` keeps its
+/// file.
+pub fn save(
+    path: &Path,
+    model: &CoverageModel,
+    fingerprint: &ModelFingerprint,
+) -> io::Result<usize> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
     }
-    #[cfg(feature = "mmap")]
-    {
-        match storage::open_model_mmap(path, Some(fingerprint)) {
-            Ok(model) => Some(model),
-            Err(storage::StorageError::Io(std::io::ErrorKind::NotFound)) => None,
-            Err(e) => {
-                eprintln!(
-                    "[model-cache] mmap open {}: {e}; rebuilding",
-                    path.display()
-                );
-                None
-            }
-        }
+    let bytes = storage::encode(model, fingerprint);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    #[cfg(not(feature = "mmap"))]
-    {
-        let _ = (path, fingerprint);
-        eprintln!("[model-cache] MROAM_MMAP set but the mmap feature is compiled out");
-        None
-    }
+    written.map(|()| bytes.len())
 }
 
 /// Loads the model from `path` when its fingerprint matches `(U, T, λ)`,
 /// else builds it and rewrites the cache. Either way the returned model
-/// has every derived structure warm ([`CoverageModel::precompute`]).
-///
-/// Under `MROAM_MMAP=1` a fresh v3 cache file is memory-mapped instead of
-/// decoded (see the module docs); the bitmap is still materialised on the
-/// heap by `precompute`, under the model's bitmap budget.
+/// has every derived structure warm ([`CoverageModel::precompute`]); the
+/// bitmap is materialised on the heap under the model's bitmap budget.
 pub fn load_or_build(
     billboards: &BillboardStore,
     trajectories: &TrajectoryStore,
@@ -94,38 +93,28 @@ pub fn load_or_build(
     path: &Path,
 ) -> (CoverageModel, CacheStatus) {
     let fingerprint = ModelFingerprint::new(billboards, trajectories, lambda_m);
-    if let Some(model) = try_open_mmap(path, &fingerprint) {
-        model.precompute();
-        return (model, CacheStatus::Hit);
-    }
-    match std::fs::read(path) {
-        Ok(bytes) => match storage::read_model_checked(&bytes, &fingerprint) {
-            Ok(model) => {
-                model.precompute();
-                return (model, CacheStatus::Hit);
-            }
-            Err(e) => {
-                eprintln!("[model-cache] {}: {e}; rebuilding", path.display());
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => eprintln!("[model-cache] cannot read {}: {e}", path.display()),
+    match open(path, &fingerprint) {
+        Ok(model) => {
+            model.precompute();
+            return (model, CacheStatus::Hit);
+        }
+        Err(StorageError::Io(io::ErrorKind::NotFound)) => {}
+        Err(e) => eprintln!("[model-cache] {}: {e}; rebuilding", path.display()),
     }
     let model = CoverageModel::build(billboards, trajectories, lambda_m);
+    match save(path, &model, &fingerprint) {
+        // Serve the file just written the way a later hit would (mapped in
+        // `mmap` builds), so the building process gets the same footprint.
+        Ok(_) => match open(path, &fingerprint) {
+            Ok(stored) => {
+                stored.precompute();
+                return (stored, CacheStatus::Rebuilt);
+            }
+            Err(e) => eprintln!("[model-cache] reopening {}: {e}", path.display()),
+        },
+        Err(e) => eprintln!("[model-cache] cannot write {}: {e}", path.display()),
+    }
     model.precompute();
-    let bytes = storage::encode_v3(&model, &fingerprint, true);
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(path, &bytes) {
-        eprintln!("[model-cache] cannot write {}: {e}", path.display());
-    } else if let Some(model) = try_open_mmap(path, &fingerprint) {
-        // The caller asked for mapped models and we just wrote a fresh v3
-        // file: serve the mapped view so even the building process gets
-        // the reduced-residency benefit.
-        model.precompute();
-        return (model, CacheStatus::Rebuilt);
-    }
     (model, CacheStatus::Rebuilt)
 }
 
@@ -239,36 +228,89 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "mmap")]
-    fn mmap_env_serves_mapped_model_with_identical_answers() {
+    fn hits_open_the_way_the_build_serves_models() {
         let (billboards, trajectories) = tiny_stores();
-        let path = scratch_file("mmap");
+        let path = scratch_file("open");
         let _ = std::fs::remove_file(&path);
 
-        // Heap build first (env untouched by this test's assertions).
-        let (heap, _) = load_or_build(&billboards, &trajectories, 50.0, &path);
-
-        // Force the mmap path directly rather than mutating the process
-        // env (other tests run concurrently): the cache file is fresh, so
-        // this is exactly what load_or_build does under MROAM_MMAP=1.
-        let fp = ModelFingerprint::new(&billboards, &trajectories, 50.0);
-        let mapped = storage::open_model_mmap(&path, Some(&fp)).unwrap();
-        assert!(mapped.coverage_lists().is_mapped());
-        assert_eq!(mapped.coverage_lists(), heap.coverage_lists());
-        assert_eq!(mapped.inverted_index(), heap.inverted_index());
-        assert_eq!(mapped.overlap_graph(), heap.overlap_graph());
-        assert_eq!(
-            mapped.set_influence(mapped.billboard_ids()),
-            heap.set_influence(heap.billboard_ids())
-        );
+        let built = CoverageModel::build(&billboards, &trajectories, 50.0);
+        let (rebuilt, _) = load_or_build(&billboards, &trajectories, 50.0, &path);
+        let (hit, status) = load_or_build(&billboards, &trajectories, 50.0, &path);
+        assert_eq!(status, CacheStatus::Hit);
+        for model in [&rebuilt, &hit] {
+            assert_eq!(model.coverage_lists().is_mapped(), cfg!(feature = "mmap"));
+            assert_eq!(model.coverage_lists(), built.coverage_lists());
+            assert_eq!(model.inverted_index(), built.inverted_index());
+            assert_eq!(model.overlap_graph(), built.overlap_graph());
+            assert_eq!(
+                model.set_influence(model.billboard_ids()),
+                built.set_influence(built.billboard_ids())
+            );
+        }
 
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn mmap_requested_reads_env_shape() {
-        // Only checks the parsing contract on values no other test sets.
-        assert!(!mmap_requested() || std::env::var("MROAM_MMAP").is_ok());
+    fn rewriting_a_stale_file_leaves_a_mapped_model_intact() {
+        let (billboards, trajectories) = tiny_stores();
+        let path = scratch_file("remap");
+        let _ = std::fs::remove_file(&path);
+
+        load_or_build(&billboards, &trajectories, 50.0, &path);
+        let (narrow, status) = load_or_build(&billboards, &trajectories, 50.0, &path);
+        assert_eq!(status, CacheStatus::Hit);
+        // A wider λ on the same path replaces the file under the live
+        // model (mapped in `mmap` builds); the λ=50 model must still read
+        // the λ=50 file, not the new one's bytes.
+        let (_, status) = load_or_build(&billboards, &trajectories, 300.0, &path);
+        assert_eq!(status, CacheStatus::Rebuilt);
+        let fresh = CoverageModel::build(&billboards, &trajectories, 50.0);
+        assert_eq!(narrow.coverage_lists(), fresh.coverage_lists());
+        assert_eq!(narrow.inverted_index(), fresh.inverted_index());
+        assert_eq!(narrow.overlap_graph(), fresh.overlap_graph());
+        // No temporary file is left next to the cache.
+        let dir = path.parent().unwrap();
+        let stem = path.file_name().unwrap().to_str().unwrap();
+        let leftovers = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(stem) && name != stem)
+            .count();
+        assert_eq!(leftovers, 0);
+
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn older_format_versions_rebuild_as_the_current_one() {
+        let (billboards, trajectories) = tiny_stores();
+        let fp = ModelFingerprint::new(&billboards, &trajectories, 50.0);
+        let model = CoverageModel::build(&billboards, &trajectories, 50.0);
+        for version in [1u8, 2] {
+            let path = scratch_file(&format!("v{version}"));
+            // A current file relabelled with the older version byte and a
+            // fixed-up checksum: only the version check can refuse it.
+            let mut bytes = storage::encode(&model, &fp);
+            bytes[8] = version;
+            let end = bytes.len() - 8;
+            let mut h = mroam_influence::hash::FxHasher::default();
+            std::hash::Hasher::write(&mut h, &bytes[storage::MAGIC.len()..end]);
+            bytes[end..].copy_from_slice(&std::hash::Hasher::finish(&h).to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(
+                storage::read_model(&bytes, &fp).unwrap_err(),
+                StorageError::BadVersion(version)
+            );
+
+            let (_, status) = load_or_build(&billboards, &trajectories, 50.0, &path);
+            assert_eq!(status, CacheStatus::Rebuilt);
+            assert_eq!(std::fs::read(&path).unwrap(), storage::encode(&model, &fp));
+            let (_, status) = load_or_build(&billboards, &trajectories, 50.0, &path);
+            assert_eq!(status, CacheStatus::Hit);
+
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl<L: CovSource + ?Sized> CovSource for SubLists<'_, L> {
 /// The per-billboard coverage lists in CSR form: one flat entry column and
 /// an offsets column, each an owned-or-mapped [`Col`]. This is the
 /// representation a [`CoverageModel`] stores — heap-built models own their
-/// columns; models opened from a v3 cache file with the mmap loader view
+/// columns; models opened from a model file with the mmap loader view
 /// them zero-copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageLists {
@@ -390,8 +390,8 @@ impl InvertedIndex {
         }
     }
 
-    /// Wraps CSR columns directly (mmap-backed storage decode).
-    #[cfg(feature = "mmap")]
+    /// Wraps CSR columns directly (storage decode: owned copies or mmap
+    /// views).
     pub(crate) fn from_cols(offsets: Col<u64>, data: Col<u32>) -> Self {
         Self { offsets, data }
     }
@@ -589,8 +589,8 @@ impl OverlapGraph {
         }
     }
 
-    /// Wraps CSR columns directly (mmap-backed storage decode).
-    #[cfg(feature = "mmap")]
+    /// Wraps CSR columns directly (storage decode: owned copies or mmap
+    /// views).
     pub(crate) fn from_cols(offsets: Col<u64>, data: Col<u32>) -> Self {
         Self { offsets, data }
     }

@@ -1,48 +1,30 @@
-//! Compact binary persistence for coverage models.
+//! Binary persistence for coverage models.
 //!
 //! The meets computation is the most expensive preprocessing step at the
 //! paper's full scale (millions of trajectory points against thousands of
 //! boards per λ value), and its output is reused by every experiment at
-//! that λ. This module gives it a durable on-disk form: a versioned,
-//! checksummed, varint + delta encoded dump of the coverage lists —
-//! sorted-ascending ids compress to ~1–2 bytes each instead of 4.
-//!
-//! Layout (all integers LEB128 varints unless noted):
-//!
-//! ```text
-//! magic   b"MROAMCOV"            (8 bytes)
-//! version u8 = 1 | 2
-//! v2 only: flags u8 (bit 0: derived CSR sections appended)
-//! v2 only: fingerprint λ_µm, input_checksum
-//! n_trajectories, n_billboards
-//! per billboard: list_len, first_id, then (gap − 1) per subsequent id
-//! v2, flags bit 0: inverted index — per trajectory: len + delta ids;
-//!                  overlap graph  — per billboard:  len + delta ids
-//! checksum u64 LE               (FxHash of everything after the magic)
-//! ```
-//!
-//! v1 identifies a file only by its own payload checksum, so a cached
-//! model from a different λ or city silently loads as valid. v2 embeds a
-//! *source fingerprint* — λ in micrometres, the input-store checksum, and
-//! the store dimensions — which [`read_model_checked`] verifies before
-//! accepting a cache hit, and optionally appends the derived CSR
-//! structures so a warm start is decode + verify instead of rebuild.
-//!
-//! v3 trades the varint compression for *fixed-width, 8-aligned* CSR
-//! sections so the file doubles as an in-memory representation:
+//! that λ. This module gives it one durable on-disk form: fixed-width,
+//! 8-aligned CSR sections, so the file doubles as an in-memory
+//! representation.
 //!
 //! ```text
 //! [0]  magic   b"MROAMCOV"
-//! [8]  version u8 = 3, flags u8 (bit 0: derived), 6 pad bytes
+//! [8]  version u8 = 3, flags u8 = 1 (derived sections present), 6 pad bytes
 //! [16] λ_µm u64, input_checksum u64, |T| u64, |U| u64   (all LE)
-//! [48] cov_offsets  (|U|+1) × u64
-//!      cov_data     total  × u32, zero-padded to 8
-//!      flags bit 0: inv_offsets (|T|+1) × u64, inv_data × u32 pad8,
-//!                   ov_offsets  (|U|+1) × u64, ov_data  × u32 pad8
+//! [48] cov_offsets (|U|+1) × u64, cov_data × u32, zero-padded to 8
+//!      inv_offsets (|T|+1) × u64, inv_data × u32 pad8
+//!      ov_offsets  (|U|+1) × u64, ov_data  × u32 pad8
 //! [-8] checksum u64 LE (FxHash of everything after the magic)
 //! ```
 //!
-//! A v3 file loads two ways with identical read semantics: the heap path
+//! The header carries a *source fingerprint* — λ in micrometres, the
+//! input-store checksum, and the store dimensions — which every load
+//! verifies, so a file from a different λ or city is refused
+//! ([`StorageError::FingerprintMismatch`]) instead of silently served.
+//! Files of any other version (the earlier varint formats 1 and 2) are
+//! refused with [`StorageError::BadVersion`]; a cache rebuilds them.
+//!
+//! A file loads two ways with identical read semantics: [`read_model`]
 //! copies each section into owned columns (any alignment, any endianness
 //! of the *host* — sections are LE), and [`open_model_mmap`] (feature
 //! `mmap`) maps the file and serves every column as a zero-copy view, so
@@ -51,27 +33,22 @@
 
 use crate::hash::FxHasher;
 use crate::model::{CoverageLists, CoverageModel, InvertedIndex, OverlapGraph};
-use bytes::{Buf, BufMut};
-use mroam_data::col::{align8, put_pod_section, read_pod_vec};
-use mroam_data::{BillboardId, BillboardStore, TrajectoryStore};
+use mroam_data::col::{align8, put_pod_section, read_pod_vec, Pod};
+use mroam_data::{BillboardStore, Col, TrajectoryStore};
 use std::hash::Hasher;
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"MROAMCOV";
-/// Legacy format version (coverage lists only, no fingerprint).
-pub const VERSION: u8 = 1;
-/// Compact format version (fingerprint + optional derived structures,
-/// varint + delta coded).
-pub const VERSION_V2: u8 = 2;
-/// Current format version: fingerprint + fixed-width 8-aligned CSR
-/// sections, loadable by copy or by mmap.
-pub const VERSION_V3: u8 = 3;
+/// Format version: fingerprint + fixed-width 8-aligned CSR sections,
+/// loadable by copy or by mmap.
+pub const VERSION: u8 = 3;
 
-/// v2/v3 flags bit: the derived CSR sections follow the coverage lists.
+/// Flags byte of every file: the derived CSR sections follow the
+/// coverage lists.
 const FLAG_DERIVED: u8 = 1;
 
-/// Byte offset of the first v3 section (the fixed-width header ends here).
-const V3_SECTIONS_START: usize = 48;
+/// Byte offset of the first section (the fixed-width header ends here).
+const SECTIONS_START: usize = 48;
 
 /// Identity of the inputs a stored model was computed from. Two model
 /// files with equal fingerprints were built from bit-identical stores at
@@ -129,7 +106,6 @@ pub fn stores_checksum(billboards: &BillboardStore, trajectories: &TrajectorySto
     }
     h.finish()
 }
-
 /// Errors produced when decoding a stored model.
 #[derive(Debug, PartialEq, Eq)]
 pub enum StorageError {
@@ -139,25 +115,24 @@ pub enum StorageError {
     BadVersion(u8),
     /// Input ended before the structure was complete.
     Truncated,
-    /// A varint exceeded 64 bits.
-    VarintOverflow,
     /// The payload checksum did not match.
     ChecksumMismatch,
-    /// A coverage list referenced a trajectory id out of range.
+    /// A CSR slice referenced an id out of range (`billboard` is the
+    /// slice index).
     IdOutOfRange { billboard: usize, id: u64 },
-    /// A v2/v3 file's source fingerprint does not match the inputs the
-    /// caller is about to serve — the cache is stale (different λ, city, or
-    /// store contents) and must be rebuilt, never silently loaded.
+    /// The file's source fingerprint does not match the inputs the caller
+    /// is about to serve — the cache is stale (different λ, city, or store
+    /// contents) and must be rebuilt, never silently loaded.
     FingerprintMismatch {
         /// What the caller's inputs fingerprint to.
         expected: ModelFingerprint,
         /// What the file claims it was built from.
         found: ModelFingerprint,
     },
-    /// A v3 section table is internally inconsistent (non-monotone offsets,
-    /// sections past the payload, bad padding).
+    /// The header or section table is internally inconsistent (bad flags,
+    /// non-monotone offsets, sections past the payload, bad padding).
     Inconsistent(&'static str),
-    /// The file could not be opened or mapped ([`open_model_mmap`]).
+    /// The file could not be opened, read or mapped.
     Io(std::io::ErrorKind),
 }
 
@@ -167,7 +142,6 @@ impl std::fmt::Display for StorageError {
             StorageError::BadMagic => write!(f, "not a MROAM coverage file (bad magic)"),
             StorageError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             StorageError::Truncated => write!(f, "truncated coverage file"),
-            StorageError::VarintOverflow => write!(f, "varint exceeds 64 bits"),
             StorageError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
             StorageError::IdOutOfRange { billboard, id } => {
                 write!(
@@ -182,7 +156,7 @@ impl std::fmt::Display for StorageError {
                 )
             }
             StorageError::Inconsistent(what) => {
-                write!(f, "inconsistent v3 section table: {what}")
+                write!(f, "inconsistent section table: {what}")
             }
             StorageError::Io(kind) => write!(f, "model file I/O error: {kind}"),
         }
@@ -191,160 +165,24 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-fn put_varint(buf: &mut impl BufMut, mut v: u64) {
-    while v >= 0x80 {
-        buf.put_u8((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    buf.put_u8(v as u8);
-}
-
-fn get_varint(buf: &mut impl Buf) -> Result<u64, StorageError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(StorageError::Truncated);
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(StorageError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 fn checksum(payload: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(payload);
     h.finish()
 }
 
-/// Writes a sorted-ascending id list as `len, first, (gap − 1)…` — the
-/// same delta scheme v1 uses for coverage lists, shared by every v2
-/// section (coverage lists, inverted slices, overlap neighbour lists).
-fn put_delta_list(out: &mut Vec<u8>, list: &[u32]) {
-    put_varint(out, list.len() as u64);
-    let mut prev: Option<u32> = None;
-    for &id in list {
-        match prev {
-            None => put_varint(out, id as u64),
-            Some(p) => put_varint(out, (id - p - 1) as u64),
-        }
-        prev = Some(id);
-    }
-}
-
-/// Inverse of [`put_delta_list`]; `bound` is the exclusive id ceiling and
-/// `slice` the slice index reported on out-of-range ids.
-fn get_delta_list(buf: &mut impl Buf, bound: u64, slice: usize) -> Result<Vec<u32>, StorageError> {
-    let len = get_varint(buf)? as usize;
-    let mut list = Vec::with_capacity(len.min(1 << 20));
-    let mut prev: Option<u64> = None;
-    for _ in 0..len {
-        let raw = get_varint(buf)?;
-        let id = match prev {
-            None => raw,
-            Some(p) => p + 1 + raw,
-        };
-        if id >= bound {
-            return Err(StorageError::IdOutOfRange {
-                billboard: slice,
-                id,
-            });
-        }
-        list.push(id as u32);
-        prev = Some(id);
-    }
-    Ok(list)
-}
-
-/// Serialises a model into `out` (appended).
-pub fn write_model(model: &CoverageModel, out: &mut Vec<u8>) {
-    out.extend_from_slice(MAGIC);
-    let payload_start = out.len();
-    out.put_u8(VERSION);
-    put_varint(out, model.n_trajectories() as u64);
-    put_varint(out, model.n_billboards() as u64);
-    for b in model.billboard_ids() {
-        let list = model.coverage(b);
-        put_varint(out, list.len() as u64);
-        let mut prev: Option<u32> = None;
-        for &id in list {
-            match prev {
-                None => put_varint(out, id as u64),
-                Some(p) => put_varint(out, (id - p - 1) as u64),
-            }
-            prev = Some(id);
-        }
-    }
-    let sum = checksum(&out[payload_start..]);
-    out.put_u64_le(sum);
-}
-
-/// Serialises a model into `out` (appended) in the v2 format: fingerprint
-/// header plus, when `include_derived`, the inverted index and overlap
-/// graph as CSR sections (forcing their builds if not yet materialised) so
-/// a cache load skips those rebuilds entirely. The bitmap is never stored:
-/// rebuilding it from the decoded lists is a sequential OR-sweep, cheaper
+/// Serialises a model built from the inputs `fingerprint` names: the
+/// fixed-width header, then the coverage, inverted-index and
+/// overlap-graph CSR sections (see the module docs for the layout),
+/// forcing the derived builds if not yet materialised. The bitmap is never
+/// stored: rebuilding it from the lists is a sequential OR-sweep, cheaper
 /// than reading the equivalent bytes back from disk.
-pub fn write_model_v2(
-    model: &CoverageModel,
-    fingerprint: &ModelFingerprint,
-    include_derived: bool,
-    out: &mut Vec<u8>,
-) {
+pub fn encode(model: &CoverageModel, fingerprint: &ModelFingerprint) -> Vec<u8> {
     debug_assert_eq!(fingerprint.n_billboards, model.n_billboards() as u64);
     debug_assert_eq!(fingerprint.n_trajectories, model.n_trajectories() as u64);
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    let payload_start = out.len();
-    out.put_u8(VERSION_V2);
-    out.put_u8(if include_derived { FLAG_DERIVED } else { 0 });
-    put_varint(out, fingerprint.lambda_um);
-    put_varint(out, fingerprint.input_checksum);
-    put_varint(out, model.n_trajectories() as u64);
-    put_varint(out, model.n_billboards() as u64);
-    for b in model.billboard_ids() {
-        put_delta_list(out, model.coverage(b));
-    }
-    if include_derived {
-        let inv = model.inverted_index();
-        for t in 0..model.n_trajectories() {
-            put_delta_list(out, inv.billboards_covering(t as u32));
-        }
-        let ov = model.overlap_graph();
-        for b in 0..model.n_billboards() {
-            put_delta_list(out, ov.neighbors(b as u32));
-        }
-    }
-    let sum = checksum(&out[payload_start..]);
-    out.put_u64_le(sum);
-}
-
-/// Serialises a model into `out` (appended) in the v3 format: fixed-width
-/// header plus 8-aligned CSR sections (see the module docs for the
-/// layout). `out` must be 8-aligned (normally empty) so the sections land
-/// on mappable offsets. Like v2, `include_derived` appends the inverted
-/// index and overlap graph (forcing their builds); the bitmap is never
-/// stored.
-pub fn write_model_v3(
-    model: &CoverageModel,
-    fingerprint: &ModelFingerprint,
-    include_derived: bool,
-    out: &mut Vec<u8>,
-) {
-    debug_assert_eq!(out.len() % 8, 0, "v3 sections must start 8-aligned");
-    debug_assert_eq!(fingerprint.n_billboards, model.n_billboards() as u64);
-    debug_assert_eq!(fingerprint.n_trajectories, model.n_trajectories() as u64);
-    out.extend_from_slice(MAGIC);
-    let payload_start = out.len();
-    out.push(VERSION_V3);
-    out.push(if include_derived { FLAG_DERIVED } else { 0 });
-    out.resize(payload_start + 8, 0); // pad the version/flags word
+    out.extend_from_slice(&[VERSION, FLAG_DERIVED, 0, 0, 0, 0, 0, 0]);
     for word in [
         fingerprint.lambda_um,
         fingerprint.input_checksum,
@@ -354,54 +192,38 @@ pub fn write_model_v3(
         out.extend_from_slice(&word.to_le_bytes());
     }
     let cov = model.coverage_lists();
-    put_pod_section(out, cov.offset_column());
-    put_pod_section(out, cov.entry_column());
-    align8(out);
-    if include_derived {
-        let inv = model.inverted_index();
-        put_pod_section(out, inv.offset_column());
-        put_pod_section(out, inv.entry_column());
-        align8(out);
-        let ov = model.overlap_graph();
-        put_pod_section(out, ov.offset_column());
-        put_pod_section(out, ov.entry_column());
-        align8(out);
+    let inv = model.inverted_index();
+    let ov = model.overlap_graph();
+    for (offsets, entries) in [
+        (cov.offset_column(), cov.entry_column()),
+        (inv.offset_column(), inv.entry_column()),
+        (ov.offset_column(), ov.entry_column()),
+    ] {
+        put_pod_section(&mut out, offsets);
+        put_pod_section(&mut out, entries);
+        align8(&mut out);
     }
-    let sum = checksum(&out[payload_start..]);
-    out.put_u64_le(sum);
-}
-
-/// [`encode`] in the v3 format; see [`write_model_v3`].
-pub fn encode_v3(
-    model: &CoverageModel,
-    fingerprint: &ModelFingerprint,
-    include_derived: bool,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_model_v3(model, fingerprint, include_derived, &mut out);
+    let sum = checksum(&out[MAGIC.len()..]);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
-/// One fixed-width v3 section: `n` records starting at byte `at`.
+/// One fixed-width section: `n` records starting at byte `at`.
 #[derive(Debug, Clone, Copy)]
-struct V3Section {
+struct Section {
     at: usize,
     n: usize,
 }
 
-/// The decoded v3 header plus the byte positions of every CSR section.
+/// The decoded header plus the byte positions of every CSR section.
 /// Pure arithmetic over the header words — no section data is touched, so
 /// building a layout from a mapped file faults in one page.
-struct V3Layout {
-    lambda_um: u64,
-    input_checksum: u64,
+struct Layout {
     n_trajectories: usize,
     n_billboards: usize,
-    /// (offsets, data) of the coverage CSR.
-    cov: (V3Section, V3Section),
-    /// (offsets, data) of the inverted index then the overlap graph, when
-    /// `flags` has [`FLAG_DERIVED`].
-    derived: Option<[(V3Section, V3Section); 2]>,
+    /// (offsets, data) of the coverage lists, the inverted index and the
+    /// overlap graph, in file order.
+    csr: [(Section, Section); 3],
 }
 
 fn read_u64_at(data: &[u8], at: usize) -> Result<u64, StorageError> {
@@ -410,38 +232,70 @@ fn read_u64_at(data: &[u8], at: usize) -> Result<u64, StorageError> {
         .ok_or(StorageError::Truncated)
 }
 
-/// Walks the v3 section table. `data` is the whole file (magic through
-/// checksum trailer), already checksum-verified by the caller; this only
-/// validates that the claimed dimensions fit inside the payload.
-fn v3_layout(data: &[u8]) -> Result<V3Layout, StorageError> {
-    if data.len() < V3_SECTIONS_START + 8 + 8 {
+/// Verifies the envelope of a whole file (magic through checksum
+/// trailer) — magic, checksum, version, flags — refuses a file built from
+/// other inputs than `expected`, and walks the section table. This only
+/// validates that the claimed dimensions fit inside the payload; the
+/// section contents are checked by [`assemble`].
+fn layout(data: &[u8], expected: &ModelFingerprint) -> Result<Layout, StorageError> {
+    if !data.starts_with(MAGIC) {
+        return Err(if data.len() < MAGIC.len() {
+            StorageError::Truncated
+        } else {
+            StorageError::BadMagic
+        });
+    }
+    if data.len() < MAGIC.len() + 1 + 8 {
         return Err(StorageError::Truncated);
     }
-    debug_assert_eq!(data[8], VERSION_V3);
-    let flags = data[9];
     let payload_end = data.len() - 8;
-    let lambda_um = read_u64_at(data, 16)?;
-    let input_checksum = read_u64_at(data, 24)?;
-    let n_trajectories = read_u64_at(data, 32)? as usize;
-    let n_billboards = read_u64_at(data, 40)? as usize;
+    let stored_sum = read_u64_at(data, payload_end)?;
+    if checksum(&data[MAGIC.len()..payload_end]) != stored_sum {
+        return Err(StorageError::ChecksumMismatch);
+    }
+    if data[8] != VERSION {
+        return Err(StorageError::BadVersion(data[8]));
+    }
+    if data.len() < SECTIONS_START + 8 {
+        return Err(StorageError::Truncated);
+    }
+    if data[9] != FLAG_DERIVED {
+        return Err(StorageError::Inconsistent(
+            "flags must mark the derived sections",
+        ));
+    }
+    let found = ModelFingerprint {
+        lambda_um: read_u64_at(data, 16)?,
+        input_checksum: read_u64_at(data, 24)?,
+        n_trajectories: read_u64_at(data, 32)?,
+        n_billboards: read_u64_at(data, 40)?,
+    };
+    if found != *expected {
+        return Err(StorageError::FingerprintMismatch {
+            expected: *expected,
+            found,
+        });
+    }
+    let n_trajectories = found.n_trajectories as usize;
+    let n_billboards = found.n_billboards as usize;
 
-    let mut at = V3_SECTIONS_START;
+    let mut at = SECTIONS_START;
     // Reads one (offsets, data) CSR pair at the cursor, sized by the
     // offsets section's own last element, and advances past the padding.
-    let mut csr = |n_slices: usize| -> Result<(V3Section, V3Section), StorageError> {
+    let mut csr = |n_slices: usize| -> Result<(Section, Section), StorageError> {
         let n_offsets = n_slices
             .checked_add(1)
             .ok_or(StorageError::Inconsistent("slice count overflows"))?;
         let off_bytes = n_offsets
             .checked_mul(8)
             .ok_or(StorageError::Inconsistent("offsets section overflows"))?;
-        let off = V3Section { at, n: n_offsets };
+        let off = Section { at, n: n_offsets };
         let off_end = at
             .checked_add(off_bytes)
             .filter(|&e| e <= payload_end)
             .ok_or(StorageError::Truncated)?;
         let total = read_u64_at(data, off_end - 8)? as usize;
-        let dat = V3Section {
+        let dat = Section {
             at: off_end,
             n: total,
         };
@@ -456,53 +310,19 @@ fn v3_layout(data: &[u8]) -> Result<V3Layout, StorageError> {
         }
         Ok((off, dat))
     };
-
-    let cov = csr(n_billboards)?;
-    let derived = if flags & FLAG_DERIVED != 0 {
-        Some([csr(n_trajectories)?, csr(n_billboards)?])
-    } else {
-        None
-    };
+    let csr = [csr(n_billboards)?, csr(n_trajectories)?, csr(n_billboards)?];
     if at != payload_end {
         return Err(StorageError::Inconsistent("trailing bytes after sections"));
     }
-    Ok(V3Layout {
-        lambda_um,
-        input_checksum,
+    Ok(Layout {
         n_trajectories,
         n_billboards,
-        cov,
-        derived,
+        csr,
     })
 }
 
-impl V3Layout {
-    fn fingerprint(&self) -> ModelFingerprint {
-        ModelFingerprint {
-            lambda_um: self.lambda_um,
-            input_checksum: self.input_checksum,
-            n_billboards: self.n_billboards as u64,
-            n_trajectories: self.n_trajectories as u64,
-        }
-    }
-
-    fn check_fingerprint(&self, expected: Option<&ModelFingerprint>) -> Result<(), StorageError> {
-        if let Some(expected) = expected {
-            let found = self.fingerprint();
-            if found != *expected {
-                return Err(StorageError::FingerprintMismatch {
-                    expected: *expected,
-                    found,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Validates one CSR: offsets start at 0, never decrease, end exactly at
-/// the data length, and every id is `< bound`. Shared by the heap and
-/// mmap load paths so both refuse the same malformed inputs.
+/// the data length, and every id is `< bound`.
 fn validate_csr(
     offsets: &[u64],
     data: &[u32],
@@ -531,392 +351,65 @@ fn validate_csr(
     Ok(())
 }
 
-/// Heap decode of a v3 file: every section is copied into owned columns
-/// via [`read_pod_vec`] (alignment-safe). `data` is checksum-verified by
-/// the caller.
-fn read_model_v3(
-    data: &[u8],
-    expected: Option<&ModelFingerprint>,
+/// Validates the three CSR sections of `lay` — given as owned copies or
+/// as views of a mapping, so both load paths refuse the same malformed
+/// inputs — and assembles the model with its derived structures
+/// installed.
+fn assemble(
+    lay: &Layout,
+    [cov, inv, ov]: [(Col<u64>, Col<u32>); 3],
 ) -> Result<CoverageModel, StorageError> {
-    let lay = v3_layout(data)?;
-    lay.check_fingerprint(expected)?;
-    let read_csr = |s: (V3Section, V3Section)| -> Result<(Vec<u64>, Vec<u32>), StorageError> {
-        let (off, _) =
-            read_pod_vec::<u64>(&data[s.0.at..], s.0.n).ok_or(StorageError::Truncated)?;
-        let (dat, _) =
-            read_pod_vec::<u32>(&data[s.1.at..], s.1.n).ok_or(StorageError::Truncated)?;
-        Ok((off, dat))
-    };
-
-    let (cov_off, cov_dat) = read_csr(lay.cov)?;
-    validate_csr(&cov_off, &cov_dat, lay.n_trajectories as u64, "coverage")?;
-    let cov = CoverageLists::from_cols(cov_off.into(), cov_dat.into());
-    let model = CoverageModel::from_cov(cov, lay.n_trajectories);
-    if let Some([inv, ov]) = lay.derived {
-        let (inv_off, inv_dat) = read_csr(inv)?;
-        validate_csr(&inv_off, &inv_dat, lay.n_billboards as u64, "inverted")?;
-        let (ov_off, ov_dat) = read_csr(ov)?;
-        validate_csr(&ov_off, &ov_dat, lay.n_billboards as u64, "overlap")?;
-        model.install_derived(
-            Some(InvertedIndex::from_raw(inv_off, inv_dat)),
-            Some(OverlapGraph::from_raw(ov_off, ov_dat)),
-            None,
-        );
-    }
+    let (n_t, n_b) = (lay.n_trajectories as u64, lay.n_billboards as u64);
+    validate_csr(&cov.0, &cov.1, n_t, "coverage")?;
+    validate_csr(&inv.0, &inv.1, n_b, "inverted")?;
+    validate_csr(&ov.0, &ov.1, n_b, "overlap")?;
+    let model = CoverageModel::from_cov(CoverageLists::from_cols(cov.0, cov.1), lay.n_trajectories);
+    model.install_derived(
+        Some(InvertedIndex::from_cols(inv.0, inv.1)),
+        Some(OverlapGraph::from_cols(ov.0, ov.1)),
+        None,
+    );
     Ok(model)
 }
 
-/// Opens a model file through a memory mapping. For a v3 file every CSR
-/// column (coverage plus any stored derived structures) becomes a
-/// zero-copy view of the mapping — pages fault in on first touch, so a
+/// Decodes a model file onto the heap: every section is copied into owned
+/// columns via [`read_pod_vec`] (alignment-safe). Refuses a file built
+/// from other inputs than `expected` ([`StorageError::FingerprintMismatch`]).
+pub fn read_model(data: &[u8], expected: &ModelFingerprint) -> Result<CoverageModel, StorageError> {
+    fn copy<T: Pod>(data: &[u8], s: Section) -> Result<Col<T>, StorageError> {
+        let (v, _) = read_pod_vec(&data[s.at..], s.n).ok_or(StorageError::Truncated)?;
+        Ok(v.into())
+    }
+    let lay = layout(data, expected)?;
+    let [cov, inv, ov] = lay
+        .csr
+        .map(|(off, dat)| Ok::<_, StorageError>((copy(data, off)?, copy(data, dat)?)));
+    assemble(&lay, [cov?, inv?, ov?])
+}
+
+/// Opens a model file through a memory mapping: every CSR column becomes
+/// a zero-copy view of the mapping — pages fault in on first touch, so a
 /// model bigger than RAM opens in O(validation) and the OS evicts cold
-/// pages under pressure. Older versions (v1/v2) fall back to the heap
-/// decode over the mapped bytes, so callers can point this at any cache
-/// file.
+/// pages under pressure.
 ///
-/// Pass `Some(fingerprint)` to refuse stale caches exactly like
-/// [`read_model_checked`]. The payload checksum and CSR invariants are
-/// verified up front (one sequential pass — this is the only part that
-/// touches every page), so the returned model answers every query
-/// identically to a heap load of the same file.
+/// Refuses stale files exactly like [`read_model`]. The payload checksum
+/// and CSR invariants are verified up front (one sequential pass — this is
+/// the only part that touches every page), so the returned model answers
+/// every query identically to a heap load of the same file.
 #[cfg(feature = "mmap")]
 pub fn open_model_mmap(
     path: &std::path::Path,
-    expected: Option<&ModelFingerprint>,
-) -> Result<CoverageModel, StorageError> {
-    use mroam_data::Col;
-
-    let map = mroam_data::mmap::Mmap::open(path).map_err(|e| StorageError::Io(e.kind()))?;
-    let data: &[u8] = map.as_slice();
-    if data.len() < MAGIC.len() + 1 + 8 {
-        return Err(
-            if data.len() >= MAGIC.len() && &data[..MAGIC.len()] != MAGIC {
-                StorageError::BadMagic
-            } else {
-                StorageError::Truncated
-            },
-        );
-    }
-    if &data[..MAGIC.len()] != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let (payload, trailer) = data[MAGIC.len()..].split_at(data.len() - MAGIC.len() - 8);
-    let stored_sum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if checksum(payload) != stored_sum {
-        return Err(StorageError::ChecksumMismatch);
-    }
-    if data[8] != VERSION_V3 {
-        // Varint formats can't be viewed in place; decode onto the heap.
-        return match expected {
-            Some(fp) => read_model_checked(data, fp),
-            None => read_model(data),
-        };
-    }
-
-    let lay = v3_layout(data)?;
-    lay.check_fingerprint(expected)?;
-    let col_u64 = |s: V3Section| Col::<u64>::mapped(map.clone(), s.at, s.n);
-    let col_u32 = |s: V3Section| Col::<u32>::mapped(map.clone(), s.at, s.n);
-
-    let (cov_off, cov_dat) = (col_u64(lay.cov.0), col_u32(lay.cov.1));
-    validate_csr(&cov_off, &cov_dat, lay.n_trajectories as u64, "coverage")?;
-    let model = CoverageModel::from_cov(
-        CoverageLists::from_cols(cov_off, cov_dat),
-        lay.n_trajectories,
-    );
-    if let Some([inv, ov]) = lay.derived {
-        let (inv_off, inv_dat) = (col_u64(inv.0), col_u32(inv.1));
-        validate_csr(&inv_off, &inv_dat, lay.n_billboards as u64, "inverted")?;
-        let (ov_off, ov_dat) = (col_u64(ov.0), col_u32(ov.1));
-        validate_csr(&ov_off, &ov_dat, lay.n_billboards as u64, "overlap")?;
-        model.install_derived(
-            Some(InvertedIndex::from_cols(inv_off, inv_dat)),
-            Some(OverlapGraph::from_cols(ov_off, ov_dat)),
-            None,
-        );
-    }
-    Ok(model)
-}
-
-/// Deserialises a model written by [`write_model`] or [`write_model_v2`],
-/// accepting any fingerprint (see [`read_model_checked`] for the cache
-/// path that refuses stale files).
-pub fn read_model(data: &[u8]) -> Result<CoverageModel, StorageError> {
-    read_model_impl(data, None)
-}
-
-/// Deserialises a cached model, refusing a v2 file whose source
-/// fingerprint differs from `expected`
-/// ([`StorageError::FingerprintMismatch`]). Legacy v1 files carry no
-/// fingerprint; they still load, with a logged warning, so pre-v2 caches
-/// keep working — rewrite them to get staleness detection.
-pub fn read_model_checked(
-    data: &[u8],
     expected: &ModelFingerprint,
 ) -> Result<CoverageModel, StorageError> {
-    read_model_impl(data, Some(expected))
-}
-
-fn read_model_impl(
-    data: &[u8],
-    expected: Option<&ModelFingerprint>,
-) -> Result<CoverageModel, StorageError> {
-    if data.len() < MAGIC.len() + 1 + 8 {
-        return Err(
-            if data.len() >= MAGIC.len() && &data[..MAGIC.len()] != MAGIC {
-                StorageError::BadMagic
-            } else {
-                StorageError::Truncated
-            },
-        );
-    }
-    let (head, rest) = data.split_at(MAGIC.len());
-    if head != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let (payload, trailer) = rest.split_at(rest.len() - 8);
-    let stored_sum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if checksum(payload) != stored_sum {
-        return Err(StorageError::ChecksumMismatch);
-    }
-
-    let mut buf = payload;
-    if !buf.has_remaining() {
-        return Err(StorageError::Truncated);
-    }
-    let version = buf.get_u8();
-    let flags = match version {
-        VERSION => {
-            if expected.is_some() {
-                eprintln!(
-                    "warning: model cache is legacy v1 (no source fingerprint); \
-                     staleness cannot be detected — rewrite the cache to upgrade"
-                );
-            }
-            0u8
-        }
-        VERSION_V2 => {
-            if !buf.has_remaining() {
-                return Err(StorageError::Truncated);
-            }
-            buf.get_u8()
-        }
-        VERSION_V3 => return read_model_v3(data, expected),
-        v => return Err(StorageError::BadVersion(v)),
+    let map = mroam_data::mmap::Mmap::open(path).map_err(|e| StorageError::Io(e.kind()))?;
+    let lay = layout(map.as_slice(), expected)?;
+    let view = |(off, dat): (Section, Section)| {
+        (
+            Col::mapped(map.clone(), off.at, off.n),
+            Col::mapped(map.clone(), dat.at, dat.n),
+        )
     };
-    let mut fingerprint = None;
-    if version == VERSION_V2 {
-        let lambda_um = get_varint(&mut buf)?;
-        let input_checksum = get_varint(&mut buf)?;
-        fingerprint = Some((lambda_um, input_checksum));
-    }
-    let n_trajectories = get_varint(&mut buf)? as usize;
-    let n_billboards = get_varint(&mut buf)? as usize;
-    if let (Some(expected), Some((lambda_um, input_checksum))) = (expected, fingerprint) {
-        let found = ModelFingerprint {
-            lambda_um,
-            input_checksum,
-            n_billboards: n_billboards as u64,
-            n_trajectories: n_trajectories as u64,
-        };
-        if found != *expected {
-            return Err(StorageError::FingerprintMismatch {
-                expected: *expected,
-                found,
-            });
-        }
-    }
-    let mut lists = Vec::with_capacity(n_billboards);
-    for billboard in 0..n_billboards {
-        lists.push(get_delta_list(&mut buf, n_trajectories as u64, billboard)?);
-    }
-    let model = CoverageModel::from_lists(lists, n_trajectories);
-    if flags & FLAG_DERIVED != 0 {
-        let mut inv_offsets = Vec::with_capacity(n_trajectories + 1);
-        inv_offsets.push(0u64);
-        let mut inv_data = Vec::new();
-        for t in 0..n_trajectories {
-            let slice = get_delta_list(&mut buf, n_billboards as u64, t)?;
-            inv_data.extend_from_slice(&slice);
-            inv_offsets.push(inv_data.len() as u64);
-        }
-        let mut ov_offsets = Vec::with_capacity(n_billboards + 1);
-        ov_offsets.push(0u64);
-        let mut ov_data = Vec::new();
-        for b in 0..n_billboards {
-            let slice = get_delta_list(&mut buf, n_billboards as u64, b)?;
-            ov_data.extend_from_slice(&slice);
-            ov_offsets.push(ov_data.len() as u64);
-        }
-        model.install_derived(
-            Some(InvertedIndex::from_raw(inv_offsets, inv_data)),
-            Some(OverlapGraph::from_raw(ov_offsets, ov_data)),
-            None,
-        );
-    }
-    Ok(model)
-}
-
-/// Reads just the source fingerprint of a stored model: `Ok(None)` for a
-/// legacy v1 file (no fingerprint recorded), `Ok(Some(..))` for v2. A
-/// header-only probe — it does **not** verify the payload checksum, so a
-/// fresh-looking answer must still be followed by
-/// [`read_model_checked`]/[`read_model`] to actually load.
-pub fn read_fingerprint(data: &[u8]) -> Result<Option<ModelFingerprint>, StorageError> {
-    if data.len() < MAGIC.len() + 1 {
-        return Err(
-            if data.len() >= MAGIC.len() && &data[..MAGIC.len()] != MAGIC {
-                StorageError::BadMagic
-            } else {
-                StorageError::Truncated
-            },
-        );
-    }
-    let (head, rest) = data.split_at(MAGIC.len());
-    if head != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let mut buf = rest;
-    match buf.get_u8() {
-        VERSION => Ok(None),
-        VERSION_V2 => {
-            if !buf.has_remaining() {
-                return Err(StorageError::Truncated);
-            }
-            let _flags = buf.get_u8();
-            let lambda_um = get_varint(&mut buf)?;
-            let input_checksum = get_varint(&mut buf)?;
-            let n_trajectories = get_varint(&mut buf)?;
-            let n_billboards = get_varint(&mut buf)?;
-            Ok(Some(ModelFingerprint {
-                lambda_um,
-                input_checksum,
-                n_billboards,
-                n_trajectories,
-            }))
-        }
-        VERSION_V3 => {
-            // Fixed-width header: four u64 words straight after the pad.
-            Ok(Some(ModelFingerprint {
-                lambda_um: read_u64_at(data, 16)?,
-                input_checksum: read_u64_at(data, 24)?,
-                n_trajectories: read_u64_at(data, 32)?,
-                n_billboards: read_u64_at(data, 40)?,
-            }))
-        }
-        v => Err(StorageError::BadVersion(v)),
-    }
-}
-
-/// Convenience: round-trips one model through a fresh buffer (used by the
-/// experiment harness for caching per-λ models on disk).
-pub fn encode(model: &CoverageModel) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_model(model, &mut out);
-    out
-}
-
-/// [`encode`] in the v2 format; see [`write_model_v2`].
-pub fn encode_v2(
-    model: &CoverageModel,
-    fingerprint: &ModelFingerprint,
-    include_derived: bool,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_model_v2(model, fingerprint, include_derived, &mut out);
-    out
-}
-
-/// Returns the coverage list of one billboard without decoding the whole
-/// model — a point lookup over the sequential format (O(file) scan but no
-/// allocation for other lists).
-pub fn read_one_list(data: &[u8], target: BillboardId) -> Result<Vec<u32>, StorageError> {
-    // Validate envelope first (cheap compared to a wrong answer).
-    let model_header_check = |data: &[u8]| -> Result<(), StorageError> {
-        if data.len() < MAGIC.len() + 9 || &data[..MAGIC.len()] != MAGIC {
-            return Err(StorageError::BadMagic);
-        }
-        Ok(())
-    };
-    model_header_check(data)?;
-    let payload = &data[MAGIC.len()..data.len() - 8];
-    let mut buf = payload;
-    let version = buf.get_u8();
-    match version {
-        VERSION => {}
-        VERSION_V2 => {
-            // Skip flags + fingerprint; the coverage lists precede any
-            // derived sections, so the scan below is version-agnostic.
-            if !buf.has_remaining() {
-                return Err(StorageError::Truncated);
-            }
-            let _flags = buf.get_u8();
-            let _lambda_um = get_varint(&mut buf)?;
-            let _input_checksum = get_varint(&mut buf)?;
-        }
-        VERSION_V3 => {
-            // Fixed-width sections make this a true point lookup: two
-            // offset words, then exactly the target's records.
-            let lay = v3_layout(data)?;
-            if target.index() >= lay.n_billboards {
-                return Err(StorageError::IdOutOfRange {
-                    billboard: target.index(),
-                    id: 0,
-                });
-            }
-            let lo = read_u64_at(data, lay.cov.0.at + target.index() * 8)? as usize;
-            let hi = read_u64_at(data, lay.cov.0.at + (target.index() + 1) * 8)? as usize;
-            if lo > hi || hi > lay.cov.1.n {
-                return Err(StorageError::Inconsistent("coverage"));
-            }
-            let start = lay.cov.1.at + lo * 4;
-            let tail = data.get(start..).ok_or(StorageError::Truncated)?;
-            let (list, _) = read_pod_vec::<u32>(tail, hi - lo).ok_or(StorageError::Truncated)?;
-            for &id in &list {
-                if u64::from(id) >= lay.n_trajectories as u64 {
-                    return Err(StorageError::IdOutOfRange {
-                        billboard: target.index(),
-                        id: u64::from(id),
-                    });
-                }
-            }
-            return Ok(list);
-        }
-        v => return Err(StorageError::BadVersion(v)),
-    }
-    let n_trajectories = get_varint(&mut buf)?;
-    let n_billboards = get_varint(&mut buf)? as usize;
-    if target.index() >= n_billboards {
-        return Err(StorageError::IdOutOfRange {
-            billboard: target.index(),
-            id: 0,
-        });
-    }
-    for b in 0..=target.index() {
-        let len = get_varint(&mut buf)? as usize;
-        if b == target.index() {
-            let mut list = Vec::with_capacity(len);
-            let mut prev: Option<u64> = None;
-            for _ in 0..len {
-                let raw = get_varint(&mut buf)?;
-                let id = match prev {
-                    None => raw,
-                    Some(p) => p + 1 + raw,
-                };
-                if id >= n_trajectories {
-                    return Err(StorageError::IdOutOfRange { billboard: b, id });
-                }
-                list.push(id as u32);
-                prev = Some(id);
-            }
-            return Ok(list);
-        }
-        // Skip this list.
-        for _ in 0..len {
-            get_varint(&mut buf)?;
-        }
-    }
-    unreachable!("loop returns at target")
+    assemble(&lay, lay.csr.map(view))
 }
 
 #[cfg(test)]
@@ -931,62 +424,102 @@ mod tests {
         )
     }
 
+    fn fingerprint_of(model: &CoverageModel) -> ModelFingerprint {
+        ModelFingerprint {
+            lambda_um: 100_000_000, // λ = 100 m
+            input_checksum: 0xfeed_beef,
+            n_billboards: model.n_billboards() as u64,
+            n_trajectories: model.n_trajectories() as u64,
+        }
+    }
+
+    fn sample_fingerprint() -> ModelFingerprint {
+        fingerprint_of(&sample_model())
+    }
+
+    /// Recomputes the checksum trailer after a deliberate edit, so the
+    /// structural checks behind it are what gets exercised.
+    fn fix_checksum(bytes: &mut [u8]) {
+        let end = bytes.len() - 8;
+        let sum = checksum(&bytes[MAGIC.len()..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn trailer(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
+    }
+
     #[test]
-    fn roundtrip_preserves_everything() {
+    fn encoding_is_pinned_to_the_v3_bytes_already_on_disk() {
+        // Length and checksum trailer of these models' files. Cache files
+        // already on disk must keep loading as hits, so the bytes written
+        // for a model may never change within a version.
+        let bytes = encode(&sample_model(), &sample_fingerprint());
+        assert_eq!(bytes.len(), 80_224);
+        assert_eq!(trailer(&bytes), 0xb054_05f6_a8ce_3ce3);
+        let empty = CoverageModel::from_lists(vec![], 0);
+        let fp = ModelFingerprint {
+            lambda_um: 1,
+            input_checksum: 2,
+            n_billboards: 0,
+            n_trajectories: 0,
+        };
+        let bytes = encode(&empty, &fp);
+        assert_eq!(bytes.len(), 80);
+        assert_eq!(trailer(&bytes), 0xbbd3_a818_8b9e_85cc);
+    }
+
+    #[test]
+    fn roundtrip_preserves_model_and_derived_structures() {
         let model = sample_model();
-        let bytes = encode(&model);
-        let back = read_model(&bytes).unwrap();
-        assert_eq!(back.n_trajectories(), model.n_trajectories());
-        assert_eq!(back.n_billboards(), model.n_billboards());
+        let fp = sample_fingerprint();
+        let bytes = encode(&model, &fp);
+        assert_eq!(bytes.len() % 8, 0, "files are whole words");
+        let back = read_model(&bytes, &fp).unwrap();
         for b in model.billboard_ids() {
             assert_eq!(back.coverage(b), model.coverage(b));
         }
         assert_eq!(back.supply(), model.supply());
+        assert_eq!(back.inverted_index(), model.inverted_index());
+        assert_eq!(back.overlap_graph(), model.overlap_graph());
     }
 
     #[test]
     fn empty_model_roundtrips() {
         let model = CoverageModel::from_lists(vec![], 0);
-        let back = read_model(&encode(&model)).unwrap();
+        let fp = fingerprint_of(&model);
+        let back = read_model(&encode(&model, &fp), &fp).unwrap();
         assert_eq!(back.n_billboards(), 0);
         assert_eq!(back.n_trajectories(), 0);
     }
 
     #[test]
-    fn delta_encoding_is_compact() {
-        // Dense ascending ids ⇒ one byte per id plus small headers.
-        let model = CoverageModel::from_lists(vec![(0..1000u32).collect()], 1000);
-        let bytes = encode(&model);
-        assert!(
-            bytes.len() < 1100,
-            "1000 dense ids should take ~1 byte each, got {}",
-            bytes.len()
-        );
-    }
-
-    #[test]
     fn bad_magic_detected() {
-        let mut bytes = encode(&sample_model());
+        let fp = sample_fingerprint();
+        let mut bytes = encode(&sample_model(), &fp);
         bytes[0] = b'X';
-        assert_eq!(read_model(&bytes).unwrap_err(), StorageError::BadMagic);
+        assert_eq!(read_model(&bytes, &fp).unwrap_err(), StorageError::BadMagic);
     }
 
     #[test]
     fn bit_flip_detected_by_checksum() {
-        let mut bytes = encode(&sample_model());
+        let fp = sample_fingerprint();
+        let mut bytes = encode(&sample_model(), &fp);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         assert_eq!(
-            read_model(&bytes).unwrap_err(),
+            read_model(&bytes, &fp).unwrap_err(),
             StorageError::ChecksumMismatch
         );
     }
 
     #[test]
-    fn truncation_detected() {
-        let bytes = encode(&sample_model());
-        for cut in [0usize, 4, 9, bytes.len() - 9] {
-            let err = read_model(&bytes[..cut]).unwrap_err();
+    fn every_truncation_is_detected() {
+        let model = CoverageModel::from_lists(vec![vec![0, 2], vec![], vec![1]], 3);
+        let fp = fingerprint_of(&model);
+        let bytes = encode(&model, &fp);
+        for cut in 0..bytes.len() {
+            let err = read_model(&bytes[..cut], &fp).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -998,236 +531,95 @@ mod tests {
     }
 
     #[test]
-    fn bad_version_detected() {
-        let model = sample_model();
-        // Re-encode with a patched version byte and a fixed-up checksum.
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        let start = out.len();
-        out.push(99); // bogus version
-        put_varint(&mut out, model.n_trajectories() as u64);
-        put_varint(&mut out, model.n_billboards() as u64);
-        let sum = checksum(&out[start..]);
-        out.put_u64_le(sum);
-        assert_eq!(read_model(&out).unwrap_err(), StorageError::BadVersion(99));
-    }
-
-    #[test]
-    fn point_lookup_matches_full_decode() {
-        let model = sample_model();
-        let bytes = encode(&model);
-        for b in model.billboard_ids() {
-            assert_eq!(read_one_list(&bytes, b).unwrap(), model.coverage(b));
+    fn other_versions_are_refused() {
+        // The earlier varint formats (1, 2) and unknown future ones all
+        // fail the version check, even with a valid checksum.
+        let fp = sample_fingerprint();
+        for version in [1u8, 2, 4, 99] {
+            let mut bytes = encode(&sample_model(), &fp);
+            bytes[8] = version;
+            fix_checksum(&mut bytes);
+            assert_eq!(
+                read_model(&bytes, &fp).unwrap_err(),
+                StorageError::BadVersion(version)
+            );
         }
     }
 
     #[test]
-    fn point_lookup_out_of_range() {
-        let bytes = encode(&sample_model());
+    fn missing_derived_flag_is_refused() {
+        let fp = sample_fingerprint();
+        let mut bytes = encode(&sample_model(), &fp);
+        bytes[9] = 0;
+        fix_checksum(&mut bytes);
         assert!(matches!(
-            read_one_list(&bytes, BillboardId(99)),
-            Err(StorageError::IdOutOfRange { .. })
+            read_model(&bytes, &fp),
+            Err(StorageError::Inconsistent(_))
         ));
     }
 
-    fn sample_fingerprint() -> ModelFingerprint {
-        let m = sample_model();
-        ModelFingerprint {
-            lambda_um: 100_000_000, // λ = 100 m
-            input_checksum: 0xfeed_beef,
-            n_billboards: m.n_billboards() as u64,
-            n_trajectories: m.n_trajectories() as u64,
-        }
-    }
-
     #[test]
-    fn v2_roundtrip_preserves_model_and_derived_structures() {
+    fn stale_fingerprint_is_refused() {
         let model = sample_model();
         let fp = sample_fingerprint();
-        let bytes = encode_v2(&model, &fp, true);
-        let back = read_model(&bytes).unwrap();
-        for b in model.billboard_ids() {
-            assert_eq!(back.coverage(b), model.coverage(b));
-        }
-        // The derived structures must be pre-installed (no rebuild) and
-        // identical to what a fresh build produces.
-        assert_eq!(back.inverted_index(), model.inverted_index());
-        assert_eq!(back.overlap_graph(), model.overlap_graph());
-    }
-
-    #[test]
-    fn v2_without_derived_sections_roundtrips() {
-        let model = sample_model();
-        let fp = sample_fingerprint();
-        let lean = encode_v2(&model, &fp, false);
-        let fat = encode_v2(&model, &fp, true);
-        assert!(lean.len() < fat.len());
-        let back = read_model_checked(&lean, &fp).unwrap();
-        assert_eq!(back.inverted_index(), model.inverted_index());
-    }
-
-    #[test]
-    fn v2_fingerprint_probe_and_checked_load() {
-        let model = sample_model();
-        let fp = sample_fingerprint();
-        let bytes = encode_v2(&model, &fp, true);
-        assert_eq!(read_fingerprint(&bytes).unwrap(), Some(fp));
-        assert!(read_model_checked(&bytes, &fp).is_ok());
-    }
-
-    #[test]
-    fn v2_refuses_stale_fingerprint() {
-        let model = sample_model();
-        let fp = sample_fingerprint();
-        let bytes = encode_v2(&model, &fp, true);
+        let bytes = encode(&model, &fp);
         // Same stores, different λ — the classic stale-cache hazard.
         let other = ModelFingerprint {
             lambda_um: fp.lambda_um + 1,
             ..fp
         };
-        match read_model_checked(&bytes, &other).unwrap_err() {
+        match read_model(&bytes, &other).unwrap_err() {
             StorageError::FingerprintMismatch { expected, found } => {
                 assert_eq!(expected, other);
                 assert_eq!(found, fp);
             }
             e => panic!("expected FingerprintMismatch, got {e:?}"),
         }
-        // Different input contents at the same λ are equally refused.
-        let other = ModelFingerprint {
-            input_checksum: fp.input_checksum ^ 1,
-            ..fp
-        };
-        assert!(matches!(
-            read_model_checked(&bytes, &other),
-            Err(StorageError::FingerprintMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn v1_still_loads_through_the_checked_path() {
-        // Legacy files have no fingerprint: the checked load warns (to
-        // stderr) but succeeds, and the probe reports None.
-        let model = sample_model();
-        let v1 = encode(&model);
-        assert_eq!(read_fingerprint(&v1).unwrap(), None);
-        let back = read_model_checked(&v1, &sample_fingerprint()).unwrap();
-        for b in model.billboard_ids() {
-            assert_eq!(back.coverage(b), model.coverage(b));
-        }
-    }
-
-    #[test]
-    fn v2_point_lookup_matches_full_decode() {
-        let model = sample_model();
-        let bytes = encode_v2(&model, &sample_fingerprint(), true);
-        for b in model.billboard_ids() {
-            assert_eq!(read_one_list(&bytes, b).unwrap(), model.coverage(b));
-        }
-    }
-
-    #[test]
-    fn v2_bit_flip_detected_by_checksum() {
-        let mut bytes = encode_v2(&sample_model(), &sample_fingerprint(), true);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert_eq!(
-            read_model(&bytes).unwrap_err(),
-            StorageError::ChecksumMismatch
-        );
-    }
-
-    #[test]
-    fn v3_roundtrip_preserves_model_and_derived_structures() {
-        let model = sample_model();
-        let fp = sample_fingerprint();
-        for include_derived in [false, true] {
-            let bytes = encode_v3(&model, &fp, include_derived);
-            assert_eq!(bytes.len() % 8, 0, "v3 files are whole words");
-            assert_eq!(read_fingerprint(&bytes).unwrap(), Some(fp));
-            let back = read_model_checked(&bytes, &fp).unwrap();
-            for b in model.billboard_ids() {
-                assert_eq!(back.coverage(b), model.coverage(b));
-            }
-            assert_eq!(back.supply(), model.supply());
-            assert_eq!(back.inverted_index(), model.inverted_index());
-            assert_eq!(back.overlap_graph(), model.overlap_graph());
-        }
-    }
-
-    #[test]
-    fn v3_empty_model_roundtrips() {
-        let model = CoverageModel::from_lists(vec![], 0);
-        let fp = ModelFingerprint {
-            lambda_um: 1,
-            input_checksum: 2,
-            n_billboards: 0,
-            n_trajectories: 0,
-        };
-        let back = read_model(&encode_v3(&model, &fp, true)).unwrap();
-        assert_eq!(back.n_billboards(), 0);
-        assert_eq!(back.n_trajectories(), 0);
-    }
-
-    #[test]
-    fn v3_refuses_stale_fingerprint() {
-        let model = sample_model();
-        let fp = sample_fingerprint();
-        let bytes = encode_v3(&model, &fp, true);
-        let other = ModelFingerprint {
-            lambda_um: fp.lambda_um + 1,
-            ..fp
-        };
-        match read_model_checked(&bytes, &other).unwrap_err() {
-            StorageError::FingerprintMismatch { expected, found } => {
-                assert_eq!(expected, other);
-                assert_eq!(found, fp);
-            }
-            e => panic!("expected FingerprintMismatch, got {e:?}"),
-        }
-    }
-
-    #[test]
-    fn v3_bit_flip_detected_by_checksum() {
-        let mut bytes = encode_v3(&sample_model(), &sample_fingerprint(), true);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert_eq!(
-            read_model(&bytes).unwrap_err(),
-            StorageError::ChecksumMismatch
-        );
-    }
-
-    #[test]
-    fn v3_point_lookup_matches_full_decode() {
-        let model = sample_model();
-        for include_derived in [false, true] {
-            let bytes = encode_v3(&model, &sample_fingerprint(), include_derived);
-            for b in model.billboard_ids() {
-                assert_eq!(read_one_list(&bytes, b).unwrap(), model.coverage(b));
-            }
+        // Different input contents or dimensions at the same λ are
+        // equally refused.
+        for other in [
+            ModelFingerprint {
+                input_checksum: fp.input_checksum ^ 1,
+                ..fp
+            },
+            ModelFingerprint {
+                n_trajectories: fp.n_trajectories + 1,
+                ..fp
+            },
+        ] {
             assert!(matches!(
-                read_one_list(&bytes, BillboardId(99)),
-                Err(StorageError::IdOutOfRange { .. })
+                read_model(&bytes, &other),
+                Err(StorageError::FingerprintMismatch { .. })
             ));
         }
     }
 
     #[test]
-    fn v3_out_of_range_id_rejected() {
-        // Hand-corrupt one coverage entry past |T| and fix the checksum:
-        // the structural validation must catch what the checksum now
-        // blesses.
+    fn out_of_range_ids_are_rejected() {
+        // Hand-corrupt one entry past its bound and fix the checksum: the
+        // structural validation must catch what the checksum now blesses.
         let model = sample_model();
         let fp = sample_fingerprint();
-        let mut bytes = encode_v3(&model, &fp, false);
         let n_b = model.n_billboards();
-        let data_at = V3_SECTIONS_START + (n_b + 1) * 8;
-        bytes[data_at..data_at + 4].copy_from_slice(&(model.n_trajectories() as u32).to_le_bytes());
-        let sum = checksum(&bytes[MAGIC.len()..bytes.len() - 8]);
-        let at = bytes.len() - 8;
-        bytes[at..].copy_from_slice(&sum.to_le_bytes());
+        let cov_data_at = SECTIONS_START + (n_b + 1) * 8;
+        let mut bytes = encode(&model, &fp);
+        bytes[cov_data_at..cov_data_at + 4]
+            .copy_from_slice(&(model.n_trajectories() as u32).to_le_bytes());
+        fix_checksum(&mut bytes);
         assert!(matches!(
-            read_model(&bytes).unwrap_err(),
+            read_model(&bytes, &fp).unwrap_err(),
+            StorageError::IdOutOfRange { billboard: 0, .. }
+        ));
+        // The first inverted-index entry (trajectory 0 is covered by
+        // billboard 0) pointing past |U|.
+        let supply = model.supply() as usize;
+        let inv_data_at =
+            (cov_data_at + supply * 4).div_ceil(8) * 8 + (model.n_trajectories() + 1) * 8;
+        let mut bytes = encode(&model, &fp);
+        bytes[inv_data_at..inv_data_at + 4].copy_from_slice(&(n_b as u32).to_le_bytes());
+        fix_checksum(&mut bytes);
+        assert!(matches!(
+            read_model(&bytes, &fp).unwrap_err(),
             StorageError::IdOutOfRange { billboard: 0, .. }
         ));
     }
@@ -1247,66 +639,63 @@ mod tests {
         fn mmap_load_matches_heap_load() {
             let model = sample_model();
             let fp = sample_fingerprint();
-            for include_derived in [false, true] {
-                let bytes = encode_v3(&model, &fp, include_derived);
-                let path = scratch(&format!("ident-{include_derived}"), &bytes);
-                let mapped = open_model_mmap(&path, Some(&fp)).unwrap();
-                assert!(mapped.coverage_lists().is_mapped());
-                assert_eq!(mapped.coverage_lists(), model.coverage_lists());
-                assert_eq!(mapped.supply(), model.supply());
-                for b in model.billboard_ids() {
-                    assert_eq!(mapped.coverage(b), model.coverage(b));
-                }
-                // Query semantics identical to the heap model, including
-                // derived structures (stored or rebuilt from the views).
-                assert_eq!(mapped.inverted_index(), model.inverted_index());
-                assert_eq!(mapped.overlap_graph(), model.overlap_graph());
-                assert_eq!(
-                    mapped.set_influence(mapped.billboard_ids()),
-                    model.set_influence(model.billboard_ids())
-                );
-                let stats = mapped.memory_stats();
-                assert!(stats.lists_mapped_bytes > 0);
-                assert_eq!(stats.lists_heap_bytes, 0);
-                std::fs::remove_file(&path).ok();
+            let path = scratch("ident", &encode(&model, &fp));
+            let mapped = open_model_mmap(&path, &fp).unwrap();
+            assert!(mapped.coverage_lists().is_mapped());
+            assert_eq!(mapped.coverage_lists(), model.coverage_lists());
+            assert_eq!(mapped.supply(), model.supply());
+            for b in model.billboard_ids() {
+                assert_eq!(mapped.coverage(b), model.coverage(b));
             }
+            // Query semantics identical to the heap model, including the
+            // stored derived structures.
+            assert_eq!(mapped.inverted_index(), model.inverted_index());
+            assert_eq!(mapped.overlap_graph(), model.overlap_graph());
+            assert_eq!(
+                mapped.set_influence(mapped.billboard_ids()),
+                model.set_influence(model.billboard_ids())
+            );
+            let stats = mapped.memory_stats();
+            assert!(stats.lists_mapped_bytes > 0);
+            assert!(stats.inverted_mapped_bytes > 0);
+            assert_eq!(stats.lists_heap_bytes, 0);
+            std::fs::remove_file(&path).ok();
         }
 
         #[test]
-        fn mmap_refuses_stale_fingerprint_and_corruption() {
+        fn mmap_refuses_stale_fingerprint_corruption_and_old_versions() {
             let model = sample_model();
             let fp = sample_fingerprint();
-            let mut bytes = encode_v3(&model, &fp, true);
+            let bytes = encode(&model, &fp);
             let path = scratch("stale", &bytes);
             let other = ModelFingerprint {
                 input_checksum: fp.input_checksum ^ 1,
                 ..fp
             };
             assert!(matches!(
-                open_model_mmap(&path, Some(&other)),
+                open_model_mmap(&path, &other),
                 Err(StorageError::FingerprintMismatch { .. })
             ));
             std::fs::remove_file(&path).ok();
 
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-            let path = scratch("corrupt", &bytes);
+            let mut flipped = bytes.clone();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x40;
+            let path = scratch("corrupt", &flipped);
             assert_eq!(
-                open_model_mmap(&path, None).unwrap_err(),
+                open_model_mmap(&path, &fp).unwrap_err(),
                 StorageError::ChecksumMismatch
             );
             std::fs::remove_file(&path).ok();
-        }
 
-        #[test]
-        fn mmap_open_falls_back_to_heap_for_v2() {
-            let model = sample_model();
-            let fp = sample_fingerprint();
-            let bytes = encode_v2(&model, &fp, true);
-            let path = scratch("v2", &bytes);
-            let back = open_model_mmap(&path, Some(&fp)).unwrap();
-            assert!(!back.coverage_lists().is_mapped());
-            assert_eq!(back.coverage_lists(), model.coverage_lists());
+            let mut v2 = bytes;
+            v2[8] = 2;
+            fix_checksum(&mut v2);
+            let path = scratch("v2", &v2);
+            assert_eq!(
+                open_model_mmap(&path, &fp).unwrap_err(),
+                StorageError::BadVersion(2)
+            );
             std::fs::remove_file(&path).ok();
         }
 
@@ -1314,7 +703,7 @@ mod tests {
         fn mmap_missing_file_is_io_error() {
             let path = std::env::temp_dir().join("mroam-storage-definitely-missing.bin");
             assert!(matches!(
-                open_model_mmap(&path, None),
+                open_model_mmap(&path, &sample_fingerprint()),
                 Err(StorageError::Io(std::io::ErrorKind::NotFound))
             ));
         }
@@ -1341,97 +730,34 @@ mod tests {
         assert_ne!(base, stores_checksum(&billboards, &longer));
     }
 
+    fn model_of(
+        lists: Vec<std::collections::BTreeSet<u32>>,
+        n_trajectories: usize,
+    ) -> CoverageModel {
+        let lists = lists.into_iter().map(|s| s.into_iter().collect()).collect();
+        CoverageModel::from_lists(lists, n_trajectories)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn prop_roundtrip(
-            lists in proptest::collection::vec(
-                proptest::collection::btree_set(0u32..5_000, 0..60), 0..12)
-        ) {
-            let lists: Vec<Vec<u32>> =
-                lists.into_iter().map(|s| s.into_iter().collect()).collect();
-            let model = CoverageModel::from_lists(lists, 5_000);
-            let back = read_model(&encode(&model)).unwrap();
-            for b in model.billboard_ids() {
-                prop_assert_eq!(back.coverage(b), model.coverage(b));
-            }
-        }
-
-        #[test]
-        fn prop_v2_roundtrip_with_derived(
+        fn prop_roundtrip_with_derived(
             lists in proptest::collection::vec(
                 proptest::collection::btree_set(0u32..2_000, 0..40), 0..10),
             lambda_um in 1u64..10_000_000_000,
             input_checksum in any::<u64>(),
         ) {
-            let lists: Vec<Vec<u32>> =
-                lists.into_iter().map(|s| s.into_iter().collect()).collect();
-            let model = CoverageModel::from_lists(lists, 2_000);
+            let model = model_of(lists, 2_000);
             let fp = ModelFingerprint {
                 lambda_um,
                 input_checksum,
-                n_billboards: model.n_billboards() as u64,
-                n_trajectories: model.n_trajectories() as u64,
+                ..fingerprint_of(&model)
             };
-            let bytes = encode_v2(&model, &fp, true);
-            prop_assert_eq!(read_fingerprint(&bytes).unwrap(), Some(fp));
-            let back = read_model_checked(&bytes, &fp).unwrap();
-            for b in model.billboard_ids() {
-                prop_assert_eq!(back.coverage(b), model.coverage(b));
-            }
-            prop_assert_eq!(back.inverted_index(), model.inverted_index());
-            prop_assert_eq!(back.overlap_graph(), model.overlap_graph());
-            prop_assert_eq!(back.coverage_bitmap(), model.coverage_bitmap());
-        }
-
-        #[test]
-        fn prop_v3_roundtrip_with_derived(
-            lists in proptest::collection::vec(
-                proptest::collection::btree_set(0u32..2_000, 0..40), 0..10),
-            lambda_um in 1u64..10_000_000_000,
-            input_checksum in any::<u64>(),
-            include_derived in any::<bool>(),
-        ) {
-            let lists: Vec<Vec<u32>> =
-                lists.into_iter().map(|s| s.into_iter().collect()).collect();
-            let model = CoverageModel::from_lists(lists, 2_000);
-            let fp = ModelFingerprint {
-                lambda_um,
-                input_checksum,
-                n_billboards: model.n_billboards() as u64,
-                n_trajectories: model.n_trajectories() as u64,
-            };
-            let bytes = encode_v3(&model, &fp, include_derived);
-            prop_assert_eq!(read_fingerprint(&bytes).unwrap(), Some(fp));
-            let back = read_model_checked(&bytes, &fp).unwrap();
+            let back = read_model(&encode(&model, &fp), &fp).unwrap();
             prop_assert_eq!(back.coverage_lists(), model.coverage_lists());
             prop_assert_eq!(back.inverted_index(), model.inverted_index());
             prop_assert_eq!(back.overlap_graph(), model.overlap_graph());
-            for b in model.billboard_ids() {
-                prop_assert_eq!(read_one_list(&bytes, b).unwrap(), model.coverage(b));
-            }
-        }
-
-        #[test]
-        fn prop_v3_random_corruption_never_panics(
-            lists in proptest::collection::vec(
-                proptest::collection::btree_set(0u32..500, 0..20), 1..6),
-            flip in any::<(usize, u8)>(),
-            include_derived in any::<bool>(),
-        ) {
-            let lists: Vec<Vec<u32>> =
-                lists.into_iter().map(|s| s.into_iter().collect()).collect();
-            let model = CoverageModel::from_lists(lists, 500);
-            let fp = ModelFingerprint {
-                lambda_um: 1, input_checksum: 2,
-                n_billboards: model.n_billboards() as u64,
-                n_trajectories: model.n_trajectories() as u64,
-            };
-            let mut bytes = encode_v3(&model, &fp, include_derived);
-            let idx = flip.0 % bytes.len();
-            bytes[idx] ^= flip.1;
-            let _ = read_model(&bytes);
-            let _ = read_one_list(&bytes, BillboardId(0));
+            prop_assert_eq!(back.coverage_bitmap(), model.coverage_bitmap());
         }
 
         #[test]
@@ -1440,15 +766,47 @@ mod tests {
                 proptest::collection::btree_set(0u32..500, 0..20), 1..6),
             flip in any::<(usize, u8)>(),
         ) {
-            let lists: Vec<Vec<u32>> =
-                lists.into_iter().map(|s| s.into_iter().collect()).collect();
-            let model = CoverageModel::from_lists(lists, 500);
-            let mut bytes = encode(&model);
+            let model = model_of(lists, 500);
+            let fp = fingerprint_of(&model);
+            let mut bytes = encode(&model, &fp);
             let idx = flip.0 % bytes.len();
             bytes[idx] ^= flip.1;
-            // Either decodes to *something* (flip was a no-op or hit dead
-            // space) or errors — but never panics.
-            let _ = read_model(&bytes);
+            // Either decodes (the flip was a no-op) or errors — but never
+            // panics.
+            let _ = read_model(&bytes, &fp);
+        }
+
+        #[test]
+        fn prop_corruption_behind_a_valid_checksum_is_typed_or_in_range(
+            lists in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..500, 0..20), 1..6),
+            flip in any::<(usize, u8)>(),
+        ) {
+            // The checksum is recomputed after the flip, so the header,
+            // section-table and CSR checks alone stand between the bytes
+            // and the model: a typed error, or a model of the fingerprinted
+            // dimensions whose every id indexes in range.
+            let model = model_of(lists, 500);
+            let fp = fingerprint_of(&model);
+            let mut bytes = encode(&model, &fp);
+            let idx = flip.0 % (bytes.len() - 8);
+            bytes[idx] ^= flip.1;
+            fix_checksum(&mut bytes);
+            if let Ok(back) = read_model(&bytes, &fp) {
+                prop_assert_eq!(back.n_billboards(), model.n_billboards());
+                prop_assert_eq!(back.n_trajectories(), model.n_trajectories());
+                for b in back.billboard_ids() {
+                    prop_assert!(back.coverage(b).iter().all(|&t| (t as usize) < 500));
+                    let n_b = back.n_billboards() as u32;
+                    prop_assert!(back.overlap_graph().neighbors(b.0).iter().all(|&o| o < n_b));
+                }
+                let inv = back.inverted_index();
+                for t in 0..back.n_trajectories() as u32 {
+                    let n_b = back.n_billboards() as u32;
+                    prop_assert!(inv.billboards_covering(t).iter().all(|&b| b < n_b));
+                }
+                let _ = back.set_influence(back.billboard_ids());
+            }
         }
     }
 }

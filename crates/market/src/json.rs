@@ -76,12 +76,26 @@ pub fn opt_u32_field(v: &Value, field: &str) -> Result<Option<u32>, DecodeError>
     }
 }
 
-/// Decodes a [`Proposal`] from its serialized object form.
+/// Decodes a [`Proposal`] from its serialized object form, refusing a
+/// campaign no advertiser can hold: zero demand, a negative or non-finite
+/// payment ([`mroam_core::Advertiser`]'s invariants), or zero duration days.
 pub fn decode_proposal(v: &Value) -> Result<Proposal, DecodeError> {
+    let demand = u64_field(v, "demand")?;
+    if demand == 0 {
+        return Err(DecodeError::new("demand", "positive integer"));
+    }
+    let payment = f64_field(v, "payment")?;
+    if !(payment >= 0.0 && payment.is_finite()) {
+        return Err(DecodeError::new("payment", "finite non-negative number"));
+    }
+    let duration_days = u32_field(v, "duration_days")?;
+    if duration_days == 0 {
+        return Err(DecodeError::new("duration_days", "positive integer"));
+    }
     Ok(Proposal {
-        demand: u64_field(v, "demand")?,
-        payment: f64_field(v, "payment")?,
-        duration_days: u32_field(v, "duration_days")?,
+        demand,
+        payment,
+        duration_days,
         zone: opt_u32_field(v, "zone")?,
     })
 }
@@ -202,6 +216,31 @@ mod tests {
         assert_eq!(err.field, "payment");
         let err = decode_lock_state(&reparse(r#"{}"#)).unwrap_err();
         assert_eq!(err.field, "locked_until");
+    }
+
+    #[test]
+    fn proposals_no_advertiser_can_hold_are_rejected() {
+        for (json, field) in [
+            (r#"{"demand":0,"payment":1,"duration_days":1}"#, "demand"),
+            (
+                r#"{"demand":1,"payment":-0.5,"duration_days":1}"#,
+                "payment",
+            ),
+            (
+                r#"{"demand":1,"payment":1e999,"duration_days":1}"#,
+                "payment",
+            ),
+            (
+                r#"{"demand":1,"payment":1,"duration_days":0}"#,
+                "duration_days",
+            ),
+        ] {
+            let err = decode_proposal(&reparse(json)).unwrap_err();
+            assert_eq!(err.field, field, "{json}");
+        }
+        // The boundaries themselves are valid: a free campaign of one day.
+        let p = decode_proposal(&reparse(r#"{"demand":1,"payment":0,"duration_days":1}"#));
+        assert_eq!(p.unwrap().payment, 0.0);
     }
 
     #[test]

@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 
 use mroam_experiments::setup::{build_city, CityKind, Scale};
 use mroam_experiments::{params, rss, Args};
+use mroam_market::host::HostConfig;
 use mroam_replica::{spawn_follower, FollowerConfig, SharedState};
 use mroam_serve::batch::BatchPolicy;
-use mroam_serve::host::HostConfig;
 use mroam_serve::protocol::Request;
 use mroam_serve::server::{spawn, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::{Client, ReplicationConfig};

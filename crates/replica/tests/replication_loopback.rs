@@ -12,10 +12,10 @@
 use mroam_core::solver::SolverSpec;
 use mroam_data::{BillboardStore, TrajectoryStore};
 use mroam_geo::Point;
+use mroam_market::host::HostConfig;
 use mroam_replica::{spawn_follower, FollowerConfig, FollowerHandle, Session, SessionEvent};
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
-use mroam_serve::host::HostConfig;
 use mroam_serve::protocol::Request;
 use mroam_serve::server::{spawn_streaming, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::ReplicationConfig;

@@ -53,11 +53,11 @@ use mroam_core::solver::{SolverSpec, SOLVER_NAMES};
 use mroam_experiments::args::Args;
 use mroam_experiments::cache;
 use mroam_experiments::setup::{build_city, CityKind, Scale};
+use mroam_market::host::HostConfig;
 use mroam_market::Proposal;
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
 use mroam_serve::histogram::LogHistogram;
-use mroam_serve::host::HostConfig;
 use mroam_serve::protocol::Request;
 use mroam_serve::server::{spawn, ServeConfig};
 use rand::{Rng, SeedableRng};

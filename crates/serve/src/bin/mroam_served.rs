@@ -48,13 +48,12 @@ use mroam_core::solver::{SolverSpec, SOLVER_NAMES};
 use mroam_experiments::args::Args;
 use mroam_experiments::cache;
 use mroam_experiments::setup::{build_city, CityKind};
+use mroam_market::host::HostConfig;
 use mroam_serve::batch::BatchPolicy;
-use mroam_serve::host::HostConfig;
 use mroam_serve::server::{spawn, spawn_streaming, ServeConfig, ServerHandle, WalConfig};
-use mroam_serve::snapshot;
 use mroam_serve::ReplicationConfig;
 use mroam_stream::StreamEngine;
-use mroam_wal::{ReplayedState, SyncPolicy};
+use mroam_wal::{state, ReplayedState, SyncPolicy};
 use std::io;
 use std::path::PathBuf;
 use std::process::exit;
@@ -103,7 +102,7 @@ fn main() {
     // A WAL directory that already holds a snapshot is an existing
     // history: recover from it (and keep logging to it).
     let recoverable = wal.as_ref().filter(|wc| {
-        snapshot::list_snapshots(&wc.dir)
+        state::list_snapshots(&wc.dir)
             .map(|s| !s.is_empty())
             .unwrap_or(false)
     });
@@ -148,7 +147,7 @@ fn main() {
             eprintln!("cannot read snapshot {path:?}: {e}");
             exit(2);
         });
-        let restored = snapshot::decode(&text).unwrap_or_else(|e| {
+        let restored = state::decode(&text).unwrap_or_else(|e| {
             eprintln!("cannot restore snapshot {path:?}: {e}");
             exit(2);
         });

@@ -26,8 +26,8 @@
 //! full replay suffix on disk, so a just-pruned horizon still has a
 //! shippable base.
 
-use crate::snapshot;
 use mroam_wal::ship::{self, ShipMsg};
+use mroam_wal::state;
 use mroam_wal::tail::{TailError, WalCursor};
 use mroam_wal::SharedWal;
 use std::io;
@@ -209,12 +209,12 @@ pub fn spawn_feed(
 /// Older snapshots are tried in turn (a file may be pruned or torn
 /// under us); `None` when nothing shippable exists.
 fn newest_sealed_snapshot(dir: &Path) -> Option<(u64, Vec<u8>)> {
-    let snaps = snapshot::list_snapshots(dir).ok()?;
+    let snaps = state::list_snapshots(dir).ok()?;
     for (seq, path) in snaps.into_iter().rev() {
         let Ok(content) = std::fs::read_to_string(&path) else {
             continue;
         };
-        if mroam_wal::state::unseal(&content).is_ok() {
+        if state::unseal(&content).is_ok() {
             return Some((seq, content.into_bytes()));
         }
     }
@@ -429,5 +429,27 @@ impl Session<'_> {
                 "follower writer stopped",
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mroam_wal::testutil::TempDir;
+
+    #[test]
+    fn snapshot_choice_skips_a_newest_file_with_a_damaged_magic_line() {
+        let tmp = TempDir::new("feed-snap-choice");
+        let doc = r#"{"version":2}"#;
+        state::write_snapshot_file(tmp.path(), 1, doc).unwrap();
+        let newest = state::write_snapshot_file(tmp.path(), 2, doc).unwrap();
+        assert_eq!(newest_sealed_snapshot(tmp.path()).unwrap().0, 2);
+        // Lose snap-2's first byte: recovery would skip it, so the feed
+        // must not ship it to a catching-up follower either.
+        let sealed = std::fs::read(&newest).unwrap();
+        std::fs::write(&newest, &sealed[1..]).unwrap();
+        let (seq, bytes) = newest_sealed_snapshot(tmp.path()).unwrap();
+        assert_eq!(seq, 1);
+        assert_eq!(bytes, state::seal(doc).into_bytes());
     }
 }

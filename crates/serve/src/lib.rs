@@ -14,10 +14,12 @@
 //! * [`protocol`] — the JSON request/response grammar;
 //! * [`batch`] — adaptive (EWMA-of-solve-time) request batching;
 //! * [`histogram`] — HDR-style log-bucket latency histogram;
-//! * [`host`] — the single-writer world state (sim + ledger + solver);
-//! * [`snapshot`] — full-state snapshot encode/decode;
 //! * [`server`] — the TCP serving loop;
 //! * [`client`] — a minimal blocking client.
+//!
+//! The world state machine ([`mroam_market::host`]) and its snapshot
+//! codec ([`mroam_wal::state`]) live below this crate, so WAL replay steps
+//! through exactly the transitions the server applies.
 //!
 //! Binaries: `mroam-served` (the daemon) and `loadgen` (an open-loop
 //! load-test harness printing throughput and latency percentiles).
@@ -27,16 +29,12 @@ pub mod client;
 pub mod feed;
 pub mod frame;
 pub mod histogram;
-pub mod host;
 pub mod protocol;
 pub mod server;
-pub mod snapshot;
 
 pub use batch::{BatchPolicy, Batcher, CloseReason};
 pub use client::Client;
 pub use feed::{FeedStats, FollowerRow, ReplicationConfig};
 pub use histogram::{LogHistogram, Percentiles};
-pub use host::{Host, HostConfig, HostSeed};
 pub use protocol::{Request, Response, StatsReport};
 pub use server::{spawn, spawn_streaming, ServeConfig, ServerHandle};
-pub use snapshot::{Restored, SnapshotError, StreamRestore, SNAPSHOT_VERSION};

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! {"type":"submit","id":N,"demand":D,"payment":P,"duration_days":K,"zone":Z?}
-//! {"type":"run_day","id":N}            ("solve" is an accepted alias)
+//! {"type":"run_day","id":N}
 //! {"type":"query_coverage","id":N,"billboards":[o,...]}
 //! {"type":"stats","id":N}
 //! {"type":"snapshot","id":N}
@@ -87,7 +87,7 @@ impl Request {
                 id,
                 proposal: json::decode_proposal(v)?,
             }),
-            Some("run_day") | Some("solve") => Ok(Request::RunDay { id }),
+            Some("run_day") => Ok(Request::RunDay { id }),
             Some("query_coverage") => {
                 let Value::Array(items) = &v["billboards"] else {
                     return Err(DecodeError {
@@ -121,7 +121,7 @@ impl Request {
             _ => Err(DecodeError {
                 field: "type".into(),
                 expected:
-                    "submit|run_day|solve|query_coverage|stats|snapshot|ingest|compact|epoch_stats|shutdown",
+                    "submit|run_day|query_coverage|stats|snapshot|ingest|compact|epoch_stats|shutdown",
             }),
         }
     }
@@ -503,15 +503,11 @@ mod tests {
     }
 
     #[test]
-    fn solve_is_an_alias_for_run_day() {
-        let v = serde_json::from_str(r#"{"type":"solve","id":9}"#).unwrap();
-        assert_eq!(Request::decode(&v).unwrap(), Request::RunDay { id: 9 });
-    }
-
-    #[test]
     fn unknown_type_is_rejected() {
-        let v = serde_json::from_str(r#"{"type":"frobnicate","id":1}"#).unwrap();
-        assert!(Request::decode(&v).is_err());
+        for kind in ["frobnicate", "solve"] {
+            let v = serde_json::from_str(&format!(r#"{{"type":"{kind}","id":1}}"#)).unwrap();
+            assert!(Request::decode(&v).is_err(), "{kind}");
+        }
     }
 
     #[test]

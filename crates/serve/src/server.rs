@@ -40,12 +40,12 @@ use crate::batch::{BatchPolicy, Batcher, CloseReason};
 use crate::feed::{self, FeedHandle, FeedStats, ReplicationConfig};
 use crate::frame::{read_frame, write_frame};
 use crate::histogram::LogHistogram;
-use crate::host::{Host, HostConfig, HostSeed};
 use crate::protocol::{Request, Response, StatsReport};
-use crate::snapshot;
 use mroam_influence::CoverageModel;
+use mroam_market::host::{Host, HostConfig, HostSeed};
 use mroam_market::{DayRecord, Proposal};
 use mroam_stream::{IngestBatch, StreamEngine};
+use mroam_wal::state;
 use mroam_wal::{SharedWal, WalOptions, WalRecord};
 use std::collections::VecDeque;
 use std::io;
@@ -432,7 +432,7 @@ struct WalState {
 
 fn open_wal(wc: &WalConfig) -> Result<WalState, mroam_wal::WalError> {
     let shared = Arc::new(SharedWal::open(&wc.dir, wc.options.clone())?);
-    let snaps = snapshot::list_snapshots(&wc.dir)
+    let snaps = state::list_snapshots(&wc.dir)
         .map_err(|e| mroam_wal::WalError::Io(io::Error::other(e.to_string())))?;
     let last = snaps.last().map(|(seq, _)| *seq);
     Ok(WalState {
@@ -469,7 +469,7 @@ fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, world: &World) {
     // snapshot claims to cover it.
     w.shared.sync().expect("wal: sync before snapshot");
     let watermark = w.shared.next_seq() - 1;
-    snapshot::write_snapshot_file(&w.dir, watermark, &snapshot::encode(host, world.engine()))
+    state::write_snapshot_file(&w.dir, watermark, &state::encode(host, world.engine()))
         .expect("wal: snapshot write failed");
     w.log(&WalRecord::SnapshotMark {
         wal_seq: watermark,
@@ -487,7 +487,7 @@ fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, world: &World) {
 /// snapshot's watermark) — recovery never reaches past it because the
 /// matching log segments are pruned too.
 fn prune_snapshots(dir: &Path, keep_from: u64) {
-    if let Ok(snaps) = snapshot::list_snapshots(dir) {
+    if let Ok(snaps) = state::list_snapshots(dir) {
         for (seq, path) in snaps {
             if seq < keep_from {
                 let _ = std::fs::remove_file(path);
@@ -530,10 +530,10 @@ fn command_loop(
             // head (0 on a brand-new log).
             if w.genesis_needed {
                 let watermark = w.shared.next_seq() - 1;
-                snapshot::write_snapshot_file(
+                state::write_snapshot_file(
                     &w.dir,
                     watermark,
-                    &snapshot::encode(&host, world.engine()),
+                    &state::encode(&host, world.engine()),
                 )
                 .expect("wal: genesis snapshot failed");
                 w.last_snapshot_seq = watermark;
@@ -658,7 +658,7 @@ fn command_loop(
                                 &reply,
                                 Response::Snapshot {
                                     id,
-                                    state_json: snapshot::encode(&host, world.engine()),
+                                    state_json: state::encode(&host, world.engine()),
                                 },
                             );
                         }

@@ -8,11 +8,11 @@
 use mroam_core::solver::SolverSpec;
 use mroam_core::testutil::disjoint_model;
 use mroam_influence::CoverageModel;
+use mroam_market::host::HostConfig;
 use mroam_market::json::decode_day_record;
 use mroam_market::{MarketConfig, MarketSim, Proposal};
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
-use mroam_serve::host::HostConfig;
 use mroam_serve::protocol::{Request, Response};
 use mroam_serve::server::{spawn, ServeConfig, ServerHandle};
 use serde_json::Value;
@@ -243,7 +243,7 @@ fn snapshot_over_the_wire_matches_live_state() {
     }
     let v = conn.call(&Request::Snapshot { id }).expect("snapshot");
     assert_eq!(v["type"].as_str(), Some("snapshot"));
-    let restored = mroam_serve::snapshot::decode_value(&v["state"]).expect("restores");
+    let restored = mroam_wal::state::decode_value(&v["state"]).expect("restores");
     assert_eq!(restored.seed.day, 3);
     assert_eq!(restored.seed.ledger.days.len(), 3);
     assert_eq!(restored.model.n_billboards(), influences.len());
@@ -286,5 +286,48 @@ fn malformed_frames_get_errors_and_shutdown_drains_the_open_batch() {
     let second = conn.recv().expect("recv").expect("open");
     assert_eq!(second["type"].as_str(), Some("bye"));
     assert_eq!(second["id"].as_f64(), Some(11.0));
+    server.join();
+}
+
+#[test]
+fn invalid_proposals_get_errors_and_the_loop_keeps_serving() {
+    use mroam_serve::frame::{read_frame, write_frame};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let server = manual_server(disjoint_model(&[6, 5, 4]), 1024);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    // A command loop killed by a proposal would never answer: the timeout
+    // turns that into a failure instead of a hung test.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut call = |payload: String| -> Value {
+        write_frame(&mut stream, payload.as_bytes()).expect("send");
+        let frame = read_frame(&mut stream)
+            .expect("an answer before the timeout")
+            .expect("open");
+        serde_json::from_str(std::str::from_utf8(&frame).expect("utf-8")).expect("json")
+    };
+
+    for (id, fields) in [
+        (1u64, r#""demand":0,"payment":5,"duration_days":1"#),
+        (2, r#""demand":5,"payment":-1,"duration_days":1"#),
+        (3, r#""demand":5,"payment":5,"duration_days":0"#),
+    ] {
+        let v = call(format!(r#"{{"type":"submit","id":{id},{fields}}}"#));
+        assert_eq!(v["type"].as_str(), Some("error"), "{fields}");
+        assert_eq!(v["id"].as_f64(), Some(id as f64));
+    }
+    // Nothing was queued, and the day still runs.
+    let v = call(r#"{"type":"run_day","id":4}"#.to_string());
+    assert_eq!(v["type"].as_str(), Some("day_closed"));
+    assert_eq!(v["batch_size"].as_f64(), Some(0.0));
+    let v = call(r#"{"type":"stats","id":5}"#.to_string());
+    assert_eq!(v["type"].as_str(), Some("stats"));
+    assert_eq!(v["stats"]["submits"].as_f64(), Some(0.0));
+    assert_eq!(v["stats"]["day"].as_f64(), Some(1.0));
+    let v = call(r#"{"type":"shutdown","id":6}"#.to_string());
+    assert_eq!(v["type"].as_str(), Some("bye"));
     server.join();
 }

@@ -9,9 +9,9 @@
 
 use mroam_core::solver::SolverSpec;
 use mroam_core::testutil::disjoint_model;
+use mroam_market::host::{Host, HostConfig};
 use mroam_market::ProposalGenerator;
-use mroam_serve::host::{Host, HostConfig};
-use mroam_serve::snapshot;
+use mroam_wal::state;
 use proptest::prelude::*;
 
 const HORIZON: u32 = 8;
@@ -50,10 +50,10 @@ proptest! {
             doomed.run_day(&generator.day_batch(day));
         }
 
-        let snapshot_text = snapshot::encode(&doomed, None);
+        let snapshot_text = state::encode(&doomed, None);
         drop(doomed); // the crash: only the string survives
 
-        let restored = snapshot::decode(&snapshot_text).expect("snapshot restores");
+        let restored = state::decode(&snapshot_text).expect("snapshot restores");
         prop_assert_eq!(restored.seed.day, kill_day);
         let mut resumed = Host::resume(&restored.model, restored.config, restored.seed);
         for day in kill_day..HORIZON {

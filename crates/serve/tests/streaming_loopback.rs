@@ -6,9 +6,9 @@
 use mroam_core::solver::SolverSpec;
 use mroam_data::{BillboardStore, TrajectoryStore};
 use mroam_geo::Point;
+use mroam_market::host::HostConfig;
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
-use mroam_serve::host::HostConfig;
 use mroam_serve::protocol::{Request, Response};
 use mroam_serve::server::{spawn_streaming, ServeConfig, ServerHandle};
 use mroam_stream::{BillboardEvent, IngestBatch, StreamEngine, TrajectoryDelta};
@@ -257,7 +257,7 @@ fn streaming_snapshot_carries_the_overlay_and_restores() {
     }
 
     let v = conn.call(&Request::Snapshot { id: 4 }).expect("snapshot");
-    let restored = mroam_serve::snapshot::decode_value(&v["state"]).expect("restores");
+    let restored = mroam_wal::state::decode_value(&v["state"]).expect("restores");
     let stream = restored.stream.expect("streaming snapshot");
     assert_eq!(stream.epoch, 2);
     assert_eq!(stream.compactions, 1);

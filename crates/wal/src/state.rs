@@ -27,13 +27,12 @@
 //! \n%MSNAP-CRC32 <hex8> <len>\n  footer: CRC32 and byte length of the body
 //! ```
 //!
-//! [`read_snapshot_file`] verifies length then checksum; a file missing
-//! the magic line is treated as a legacy bare-JSON snapshot (the
-//! pre-container format `mroam-served --snapshot` wrote) and passed
-//! through. WAL-managed snapshots are additionally written atomically
-//! (tmp + rename + directory sync) and named `snap-<wal_seq:020>.snap`,
-//! where `wal_seq` is the replay watermark: every WAL record with
-//! `seq <= wal_seq` is folded in, recovery replays strictly after it.
+//! [`read_snapshot_file`] verifies the magic line, then length, then
+//! checksum; every failure is a typed [`SnapshotCorruption`]. Snapshot
+//! files are written atomically (tmp + rename + directory sync) and named
+//! `snap-<wal_seq:020>.snap`, where `wal_seq` is the replay watermark:
+//! every WAL record with `seq <= wal_seq` is folded in, recovery replays
+//! strictly after it.
 
 use mroam_core::shard::ShardSpec;
 use mroam_core::solver::SolverSpec;
@@ -53,8 +52,7 @@ use std::sync::Arc;
 
 use crate::crc::crc32;
 
-/// Current snapshot format version. Version 1 (no `stream` section) is
-/// still accepted on restore.
+/// Snapshot format version; restore accepts exactly this version.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 const SNAPSHOT_MAGIC: &str = "%MSNAP1\n";
@@ -133,6 +131,9 @@ struct StreamDoc {
 /// How a snapshot file's container failed verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotCorruption {
+    /// The file does not start with the magic line (damaged first bytes,
+    /// or not a sealed snapshot at all).
+    MissingMagic,
     /// The magic line is present but the CRC footer is missing or
     /// malformed — the classic torn write.
     MissingFooter,
@@ -155,6 +156,9 @@ pub enum SnapshotCorruption {
 impl fmt::Display for SnapshotCorruption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SnapshotCorruption::MissingMagic => {
+                write!(f, "missing the {SNAPSHOT_MAGIC:?} magic line")
+            }
             SnapshotCorruption::MissingFooter => {
                 write!(f, "missing or malformed checksum footer (torn write?)")
             }
@@ -329,11 +333,11 @@ pub fn seal(json_text: &str) -> String {
     )
 }
 
-/// Unwraps a file container, verifying length then checksum; content
-/// without the magic line passes through as a legacy bare snapshot.
+/// Unwraps a file container, verifying the magic line, then length, then
+/// checksum.
 pub fn unseal(content: &str) -> Result<&str, SnapshotCorruption> {
     let Some(rest) = content.strip_prefix(SNAPSHOT_MAGIC) else {
-        return Ok(content);
+        return Err(SnapshotCorruption::MissingMagic);
     };
     // Footer is the final line: "%MSNAP-CRC32 <hex8> <len>\n".
     let parsed = rest
@@ -422,7 +426,7 @@ pub fn decode(json_text: &str) -> Result<Restored, SnapshotError> {
 /// `state` field of a `snapshot` response).
 pub fn decode_value(v: &Value) -> Result<Restored, SnapshotError> {
     let version = json::u32_field(v, "version")?;
-    if version == 0 || version > SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::Version(version));
     }
     let solver_name = v["solver"].as_str().ok_or(DecodeError {
@@ -762,22 +766,39 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_json_passes_through() {
+    fn bare_json_without_the_magic_line_is_rejected() {
         let doc = r#"{"version":2}"#;
-        assert_eq!(unseal(doc).unwrap(), doc);
+        assert_eq!(unseal(doc), Err(SnapshotCorruption::MissingMagic));
+        // A sealed file whose first byte is lost is no better.
+        let sealed = seal(doc);
+        assert_eq!(unseal(&sealed[1..]), Err(SnapshotCorruption::MissingMagic));
     }
 
     #[test]
     fn every_truncation_of_a_sealed_file_is_a_typed_error() {
         let sealed = seal(r#"{"version":2,"day":3,"gamma":0.5}"#);
-        // Cut anywhere past the magic line: typed corruption, never a
-        // silent pass-through (cuts inside the magic fall back to
-        // legacy handling and fail JSON parse later).
-        for cut in SNAPSHOT_MAGIC.len()..sealed.len() - 1 {
-            assert!(
-                unseal(&sealed[..cut]).is_err(),
-                "cut at {cut} slipped through"
-            );
+        // Cut anywhere, inside the magic line included: typed
+        // corruption, never a silent pass-through.
+        for cut in 0..sealed.len() - 1 {
+            let err = unseal(&sealed[..cut]).unwrap_err();
+            if cut < SNAPSHOT_MAGIC.len() {
+                assert_eq!(err, SnapshotCorruption::MissingMagic, "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_current_document_version_restores() {
+        let model = disjoint_model(&[2]);
+        let doc = encode(&Host::new(&model, config()), None);
+        let tag = format!("\"version\":{SNAPSHOT_VERSION}");
+        assert!(doc.contains(&tag));
+        for old in [0, 1] {
+            let older = doc.replace(&tag, &format!("\"version\":{old}"));
+            assert!(matches!(
+                decode(&older),
+                Err(SnapshotError::Version(v)) if v == old
+            ));
         }
     }
 

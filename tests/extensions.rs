@@ -76,7 +76,9 @@ fn slotted_physical_mapping_is_consistent_with_solution() {
 fn coverage_model_survives_binary_storage_through_a_solve() {
     let city = NycConfig::test_scale().generate();
     let model = city.coverage(100.0);
-    let restored = storage::read_model(&storage::encode(&model)).expect("roundtrip");
+    let fingerprint = storage::ModelFingerprint::new(&city.billboards, &city.trajectories, 100.0);
+    let bytes = storage::encode(&model, &fingerprint);
+    let restored = storage::read_model(&bytes, &fingerprint).expect("roundtrip");
 
     let advertisers = WorkloadConfig {
         alpha: 1.0,
