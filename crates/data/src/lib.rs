@@ -10,15 +10,12 @@
 //!   per-point timestamps (needed for Table 5's average travel time),
 //! * [`BillboardStore`] — billboard locations plus the influence-proportional
 //!   rental cost `o.w = ⌊τ·I(o)/10⌋` from Section 7.1.2,
-//! * CSV interchange ([`csv`]) for both stores,
-//! * dataset filtering/subsampling ([`filter`]) for carving experiment
-//!   windows out of city-wide feeds, and
+//! * CSV interchange ([`csv`]) for both stores, and
 //! * [`stats::DatasetStats`] reproducing the Table 5 columns.
 
 pub mod billboard;
 pub mod col;
 pub mod csv;
-pub mod filter;
 pub mod ids;
 #[cfg(feature = "mmap")]
 pub mod mmap;

@@ -24,13 +24,13 @@
 //! be bit-identical to the unlogged run's, and recovery from each
 //! policy's directory must land on that same ledger.
 
-use std::fmt::Write as _;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mroam_core::solver::SolverSpec;
+use mroam_experiments::record::{host_threads, time_mean, Record};
 use mroam_experiments::setup::{build_city, CityKind, Scale};
-use mroam_experiments::{params, rss, Args};
+use mroam_experiments::{params, Args};
 use mroam_influence::CoverageModel;
 use mroam_market::host::{Host, HostConfig};
 use mroam_market::{DayRecord, ProposalGenerator};
@@ -125,15 +125,6 @@ fn run_days(
         w.stats().fsyncs
     });
     (host.ledger().days.clone(), fsyncs)
-}
-
-/// Mean wall-clock seconds of `iters` runs of `f`.
-fn time_mean<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() / iters as f64
 }
 
 fn main() {
@@ -278,76 +269,31 @@ fn main() {
     ));
 
     // ---- emit --------------------------------------------------------
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"durability\",").unwrap();
-    writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p mroam-experiments --bin exp_durability\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"date\": \"{}\",",
-        args.get("date").unwrap_or("unknown")
-    )
-    .unwrap();
-    writeln!(json, "  \"host_threads\": {host_threads},").unwrap();
-    writeln!(json, "  \"days\": {days},").unwrap();
-    writeln!(json, "  \"snapshot_every\": {snapshot_every},").unwrap();
-    writeln!(json, "  \"iters\": {iters},").unwrap();
-    writeln!(json, "  \"results\": [").unwrap();
-    for (i, (name, mean)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"benchmark\": \"{name}\", \"mean_s\": {mean:.9} }}{comma}"
+    let host_threads = host_threads();
+    let mut record = Record::new(
+        "durability",
+        "cargo run --release -p mroam-experiments --bin exp_durability",
+        &args,
+    );
+    record
+        .host_threads()
+        .field("days", days)
+        .field("snapshot_every", snapshot_every)
+        .field("iters", iters)
+        .results("mean_s", &rows)
+        .map(
+            "overhead",
+            overheads
+                .iter()
+                .map(|(name, pct)| (name, format!("{pct:.2}"))),
         )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"overhead\": {{").unwrap();
-    for (i, (name, pct)) in overheads.iter().enumerate() {
-        let comma = if i + 1 < overheads.len() { "," } else { "" };
-        writeln!(json, "    \"{name}\": {pct:.2}{comma}").unwrap();
-    }
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"fsyncs_per_life\": {{").unwrap();
-    for (i, (name, count)) in fsync_counts.iter().enumerate() {
-        let comma = if i + 1 < fsync_counts.len() { "," } else { "" };
-        writeln!(json, "    \"{name}\": {count}{comma}").unwrap();
-    }
-    writeln!(json, "  }},").unwrap();
-    let peak = rss::peak_rss_bytes()
-        .map(|b| format!("{:.1} MiB", b as f64 / (1 << 20) as f64))
-        .unwrap_or_else(|| "n/a".into());
-    writeln!(json, "  \"peak_rss\": \"{peak}\",").unwrap();
-    writeln!(json, "  \"notes\": [").unwrap();
-    writeln!(
-        json,
-        "    \"Recorded on a {host_threads}-thread host with tmpdir-backed storage; fsync latency on this medium bounds what the record policy costs, so re-record on the target disk before quoting absolute overheads. The *relative* ordering (record \\u2265 batch > interval \\u2014 one batch boundary per day makes batch nearly per-record here) and the fsync counts are medium-independent.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"The workload is one solver day per WAL record (NYC test scale, G-Global). Solve time dominates each day, so overhead percentages understate what a write-heavy ingest workload would pay per record; overhead_us_per_day is the transferable number.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"Correctness gates ran before timing: every policy's ledger and every recovery are bit-identical to the unlogged run, and clean logs report zero torn-tail bytes.\""
-    )
-    .unwrap();
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
-
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, &json).expect("write bench json");
-            eprintln!("[exp_durability] wrote {out}");
-        }
-        None => print!("{json}"),
-    }
+        .map("fsyncs_per_life", fsync_counts);
+    record.emit(
+        &[
+            format!("Recorded on a {host_threads}-thread host with tmpdir-backed storage; fsync latency on this medium bounds what the record policy costs, so re-record on the target disk before quoting absolute overheads. The *relative* ordering (record ≥ batch > interval — one batch boundary per day makes batch nearly per-record here) and the fsync counts are medium-independent."),
+            "The workload is one solver day per WAL record (NYC test scale, G-Global). Solve time dominates each day, so overhead percentages understate what a write-heavy ingest workload would pay per record; overhead_us_per_day is the transferable number.".into(),
+            "Correctness gates ran before timing: every policy's ledger and every recovery are bit-identical to the unlogged run, and clean logs report zero torn-tail bytes.".into(),
+        ],
+        &args,
+    );
 }

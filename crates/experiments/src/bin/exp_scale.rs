@@ -23,21 +23,10 @@
 
 use mroam_core::prelude::*;
 use mroam_datagen::WorkloadConfig;
-use mroam_experiments::{rss, setup, Args, CityKind};
+use mroam_experiments::record::{host_threads, time_mean, Record};
+use mroam_experiments::{setup, Args, CityKind};
 use mroam_influence::storage::{self, ModelFingerprint};
 use mroam_influence::CoverageModel;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Mean wall-clock seconds of `iters` runs of `f` (result is black-boxed
-/// so the optimiser cannot elide the work).
-fn time_mean<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
 
 fn main() {
     let args = Args::from_env();
@@ -135,9 +124,6 @@ fn main() {
     }
 
     // ---- emit --------------------------------------------------------
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     #[cfg(feature = "mmap")]
     let mmap_open_speedup = {
         let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|&(_, v)| v).unwrap();
@@ -146,79 +132,39 @@ fn main() {
     #[cfg(not(feature = "mmap"))]
     let mmap_open_speedup = f64::NAN; // axis compiled out
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"scale\",").unwrap();
-    writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p mroam-experiments --bin exp_scale\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"date\": \"{}\",",
-        args.get("date").unwrap_or("unknown")
-    )
-    .unwrap();
-    writeln!(json, "  \"host_threads\": {host_threads},").unwrap();
-    writeln!(
-        json,
-        "  \"fixture\": \"{} at {:?} scale ({} billboards, {} trajectories), lambda = {lambda} m, workload alpha=1.0 p=0.05 gamma=0.5\",",
-        kind.label(),
-        args.scale(),
-        model.n_billboards(),
-        model.n_trajectories()
-    )
-    .unwrap();
-    writeln!(json, "  \"iters\": {iters},").unwrap();
-    writeln!(json, "  \"results\": [").unwrap();
-    for (i, (name, mean)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"benchmark\": \"{name}\", \"mean_s\": {mean:.9} }}{comma}"
+    let host_threads = host_threads();
+    let mut record = Record::new(
+        "scale",
+        "cargo run --release -p mroam-experiments --bin exp_scale",
+        &args,
+    );
+    record
+        .host_threads()
+        .text(
+            "fixture",
+            &format!(
+                "{} at {:?} scale ({} billboards, {} trajectories), lambda = {lambda} m, workload alpha=1.0 p=0.05 gamma=0.5",
+                kind.label(),
+                args.scale(),
+                model.n_billboards(),
+                model.n_trajectories()
+            ),
         )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    let mut speedups = Vec::new();
-    if mmap_open_speedup.is_finite() {
-        speedups.push(("mmap_open_vs_heap_decode", mmap_open_speedup));
-    }
-    writeln!(json, "  \"speedups\": {{").unwrap();
-    for (i, (name, v)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        writeln!(json, "    \"{name}\": {v:.2}{comma}").unwrap();
-    }
-    writeln!(json, "  }},").unwrap();
-    let peak = rss::peak_rss_bytes()
-        .map(|b| format!("{:.1} MiB", b as f64 / (1 << 20) as f64))
-        .unwrap_or_else(|| "n/a".into());
-    writeln!(json, "  \"peak_rss\": \"{peak}\",").unwrap();
-    writeln!(json, "  \"notes\": [").unwrap();
-    writeln!(
-        json,
-        "    \"Recorded on a {host_threads}-thread host. With host_threads = 1 every scoped task of the partitioned pick scan runs on the same core, so the tasks_2/4/8 rows measure spawn+merge overhead, not speedup — the >=2x parallel G-Global target needs a multi-core host; the rows are kept to pin the sharded path's identity and overhead. (Same precedent as BENCH_model_build.json.)\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"All cross-axis identity gates ran in-process before timing: pick rounds identical at 1/2/4/8 tasks, heap and mmap models answer the query sweep identically.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"mmap/on/map_open validates the checksum with one sequential file pass, so its advantage over the heap decode is avoided allocation + lazy paging, not skipped I/O; the query sweep rows compare steady-state answer costs.\""
-    )
-    .unwrap();
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
-
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, &json).expect("write bench json");
-            eprintln!("[exp_scale] wrote {out}");
-        }
-        None => print!("{json}"),
-    }
+        .field("iters", iters)
+        .results("mean_s", &rows)
+        .map(
+            "speedups",
+            mmap_open_speedup
+                .is_finite()
+                .then(|| ("mmap_open_vs_heap_decode", format!("{mmap_open_speedup:.2}"))),
+        );
+    record.emit(
+        &[
+            format!("Recorded on a {host_threads}-thread host. With host_threads = 1 every scoped task of the partitioned pick scan runs on the same core, so the tasks_2/4/8 rows measure spawn+merge overhead, not speedup — the >=2x parallel G-Global target needs a multi-core host; the rows are kept to pin the sharded path's identity and overhead. (Same precedent as BENCH_model_build.json.)"),
+            "All cross-axis identity gates ran in-process before timing: pick rounds identical at 1/2/4/8 tasks, heap and mmap models answer the query sweep identically.".into(),
+            "mmap/on/map_open validates the checksum with one sequential file pass, so its advantage over the heap decode is avoided allocation + lazy paging, not skipped I/O; the query sweep rows compare steady-state answer costs.".into(),
+        ],
+        &args,
+    );
     eprintln!("[exp_scale] mmap open vs decode: {mmap_open_speedup:.2}x");
 }

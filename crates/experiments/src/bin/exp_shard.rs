@@ -29,16 +29,14 @@
 //! the shard report — and `--self-check` runs only the gates on the test
 //! scale and exits, which is the CI smoke mode.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use mroam_core::prelude::*;
 use mroam_core::shard::{solve_sharded, ShardReport, ShardSpec};
 use mroam_core::solver::{SolverSpec, SOLVER_NAMES};
 use mroam_datagen::WorkloadConfig;
 use mroam_experiments::params::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_P_AVG};
+use mroam_experiments::record::{host_threads, time_mean, Record};
 use mroam_experiments::setup::{build_city, CityKind, Scale};
-use mroam_experiments::{rss, Args};
+use mroam_experiments::Args;
 use mroam_geo::SpatialPartition;
 use std::process::exit;
 
@@ -47,14 +45,6 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// Shard count of the width-scaling rows: enough shards that every
 /// measured width has independent work to steal.
 const SCALING_SHARDS: usize = 4;
-
-fn time_mean<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
 
 fn main() {
     let args = Args::from_env();
@@ -218,85 +208,50 @@ fn main() {
     }
 
     // ---- emit ---------------------------------------------------------
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"shard\",").unwrap();
-    writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p mroam-experiments --bin exp_shard\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"date\": \"{}\",",
-        args.get("date").unwrap_or("unknown")
-    )
-    .unwrap();
-    writeln!(json, "  \"city\": \"{}\",", city.name).unwrap();
-    writeln!(json, "  \"scale\": \"{scale:?}\",").unwrap();
-    writeln!(json, "  \"algo\": \"{algo}\",").unwrap();
-    writeln!(json, "  \"host_threads\": {host_threads},").unwrap();
-    writeln!(json, "  \"iters\": {iters},").unwrap();
-    writeln!(json, "  \"advertisers\": {n_adv},").unwrap();
-    writeln!(json, "  \"zoned_advertisers\": {zoned},").unwrap();
-    writeln!(
-        json,
-        "  \"baseline\": {{ \"regret\": {:.6}, \"mean_s\": {lone_mean:.9} }},",
-        baseline.total_regret
-    )
-    .unwrap();
-    writeln!(json, "  \"gap\": [").unwrap();
-    for (i, g) in gaps.iter().enumerate() {
-        let comma = if i + 1 < gaps.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"n_shards\": {}, \"regret\": {:.6}, \"gap_pct\": {:.4}, \"boundary_advertisers\": {}, \"reconcile_added\": {}, \"mean_s\": {:.9} }}{comma}",
-            g.n_shards, g.regret, g.gap_pct, g.boundary_advertisers, g.reconcile_added, g.mean_s
+    let mut record = Record::new(
+        "shard",
+        "cargo run --release -p mroam-experiments --bin exp_shard",
+        &args,
+    );
+    record
+        .text("city", &city.name)
+        .text("scale", &format!("{scale:?}"))
+        .text("algo", algo)
+        .host_threads()
+        .field("iters", iters)
+        .field("advertisers", n_adv)
+        .field("zoned_advertisers", zoned)
+        .field(
+            "baseline",
+            format!(
+                "{{ \"regret\": {:.6}, \"mean_s\": {lone_mean:.9} }}",
+                baseline.total_regret
+            ),
         )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"scaling\": [").unwrap();
-    for (i, (w, mean)) in widths.iter().enumerate() {
-        let comma = if i + 1 < widths.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"width\": {w}, \"n_shards\": {SCALING_SHARDS}, \"mean_s\": {mean:.9}, \"speedup_vs_width_1\": {:.3} }}{comma}",
-            widths[0].1 / mean
+        .list(
+            "gap",
+            gaps.iter().map(|g| {
+                format!(
+                    "{{ \"n_shards\": {}, \"regret\": {:.6}, \"gap_pct\": {:.4}, \"boundary_advertisers\": {}, \"reconcile_added\": {}, \"mean_s\": {:.9} }}",
+                    g.n_shards, g.regret, g.gap_pct, g.boundary_advertisers, g.reconcile_added, g.mean_s
+                )
+            }),
         )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    let peak = rss::peak_rss_bytes()
-        .map(|b| format!("{:.1} MiB", b as f64 / (1 << 20) as f64))
-        .unwrap_or_else(|| "n/a".into());
-    writeln!(json, "  \"peak_rss\": \"{peak}\",").unwrap();
-    writeln!(json, "  \"notes\": [").unwrap();
-    writeln!(
-        json,
-        "    \"Recorded on a {host_threads}-thread host. The gap rows are deterministic and portable; the scaling/width_N rows cannot show wall-clock speedup without hardware parallelism — they pin the sharding overhead curve so a multi-core re-record has a baseline (same precedent as BENCH_threadpool.json).\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"gap_pct is (sharded regret - lone-engine regret) / lone-engine regret; 1 shard is asserted bit-identical before timing, so its row is exactly 0.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"All correctness gates ran in-process before timing: one-shard identity, width determinism at widths {WIDTHS:?}, disjoint merged sets, and billboard/demand conservation in the shard report at shard counts {SHARD_COUNTS:?}.\""
-    )
-    .unwrap();
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
-
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, &json).expect("write bench json");
-            eprintln!("[exp_shard] wrote {out}");
-        }
-        None => print!("{json}"),
-    }
+        .list(
+            "scaling",
+            widths.iter().map(|(w, mean)| {
+                format!(
+                    "{{ \"width\": {w}, \"n_shards\": {SCALING_SHARDS}, \"mean_s\": {mean:.9}, \"speedup_vs_width_1\": {:.3} }}",
+                    widths[0].1 / mean
+                )
+            }),
+        );
+    record.emit(
+        &[
+            format!("Recorded on a {}-thread host. The gap rows are deterministic and portable; the scaling/width_N rows cannot show wall-clock speedup without hardware parallelism — they pin the sharding overhead curve so a multi-core re-record has a baseline (same precedent as BENCH_threadpool.json).", host_threads()),
+            "gap_pct is (sharded regret - lone-engine regret) / lone-engine regret; 1 shard is asserted bit-identical before timing, so its row is exactly 0.".into(),
+            format!("All correctness gates ran in-process before timing: one-shard identity, width determinism at widths {WIDTHS:?}, disjoint merged sets, and billboard/demand conservation in the shard report at shard counts {SHARD_COUNTS:?}."),
+        ],
+        &args,
+    );
 }

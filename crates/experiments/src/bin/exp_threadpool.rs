@@ -25,22 +25,11 @@
 //! and the par-iter reduction are checked against their sequential
 //! answers at every width used.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use mroam_experiments::{rss, Args};
+use mroam_experiments::record::{host_threads, time_mean, Record};
+use mroam_experiments::Args;
 use rayon::prelude::*;
-
-/// Mean wall-clock seconds of `iters` runs of `f` (result black-boxed
-/// so the optimiser cannot elide the work).
-fn time_mean<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
 
 /// The trivial per-job payload: a handful of arithmetic ops and one
 /// relaxed atomic add, so a "job" costs nanoseconds and the timing is
@@ -193,87 +182,43 @@ fn main() {
     }
 
     // ---- emit --------------------------------------------------------
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
     let dispatch_speedup = per_job_os_ns / per_job_pool_ns;
     let stats = rayon::pool_stats();
-
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"threadpool\",").unwrap();
-    writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p mroam-experiments --bin exp_threadpool\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"date\": \"{}\",",
-        args.get("date").unwrap_or("unknown")
-    )
-    .unwrap();
-    writeln!(json, "  \"host_threads\": {host_threads},").unwrap();
-    writeln!(json, "  \"pool_width\": {width},").unwrap();
-    writeln!(json, "  \"jobs_per_batch\": {jobs},").unwrap();
-    writeln!(json, "  \"iters\": {iters},").unwrap();
-    writeln!(json, "  \"results\": [").unwrap();
-    for (i, (name, mean)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"benchmark\": \"{name}\", \"mean_s\": {mean:.9} }}{comma}"
+    let mut record = Record::new(
+        "threadpool",
+        "cargo run --release -p mroam-experiments --bin exp_threadpool",
+        &args,
+    );
+    record
+        .host_threads()
+        .field("pool_width", width)
+        .field("jobs_per_batch", jobs)
+        .field("iters", iters)
+        .results("mean_s", &rows)
+        .map(
+            "speedups",
+            [(
+                "pool_dispatch_vs_os_thread_per_task",
+                format!("{dispatch_speedup:.2}"),
+            )],
         )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"speedups\": {{").unwrap();
-    writeln!(
-        json,
-        "    \"pool_dispatch_vs_os_thread_per_task\": {dispatch_speedup:.2}"
-    )
-    .unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(
-        json,
-        "  \"pool_counters\": {{ \"jobs_executed\": {}, \"steals\": {}, \"injected\": {}, \"parks\": {} }},",
-        stats.jobs_executed, stats.steals, stats.injected, stats.parks
-    )
-    .unwrap();
-    let peak = rss::peak_rss_bytes()
-        .map(|b| format!("{:.1} MiB", b as f64 / (1 << 20) as f64))
-        .unwrap_or_else(|| "n/a".into());
-    writeln!(json, "  \"peak_rss\": \"{peak}\",").unwrap();
-    writeln!(json, "  \"notes\": [").unwrap();
-    writeln!(
-        json,
-        "    \"Recorded on a {host_threads}-thread host. The dispatch comparison is fair there — both strategies pay their real per-job overhead on the same core — but the scaling/width_N rows cannot show speedup without hardware parallelism; they pin the overhead curve (stealing + parking) so a multi-core re-record has a baseline. (Same precedent as BENCH_scale.json.)\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"dispatch/os_thread_per_task spawns threads in waves of 64 and joins each wave, matching how the old vendored stub ran scoped tasks; per-job cost includes spawn + join amortised over the batch.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"All correctness gates ran in-process before timing: join-tree and par-iter sums match sequential at every width, and the pool and OS dispatch batches execute identical job sets.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"pool_counters are cumulative for this process (gates + timed runs) from the global pool; the width_N scaling rows use dedicated pools not included in these counters.\""
-    )
-    .unwrap();
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
-
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, &json).expect("write bench json");
-            eprintln!("[exp_threadpool] wrote {out}");
-        }
-        None => print!("{json}"),
-    }
+        .field(
+            "pool_counters",
+            format!(
+                "{{ \"jobs_executed\": {}, \"steals\": {}, \"injected\": {}, \"parks\": {} }}",
+                stats.jobs_executed, stats.steals, stats.injected, stats.parks
+            ),
+        );
+    record.emit(
+        &[
+            format!("Recorded on a {host_threads}-thread host. The dispatch comparison is fair there — both strategies pay their real per-job overhead on the same core — but the scaling/width_N rows cannot show speedup without hardware parallelism; they pin the overhead curve (stealing + parking) so a multi-core re-record has a baseline. (Same precedent as BENCH_scale.json.)"),
+            "dispatch/os_thread_per_task spawns threads in waves of 64 and joins each wave, matching how the old vendored stub ran scoped tasks; per-job cost includes spawn + join amortised over the batch.".into(),
+            "All correctness gates ran in-process before timing: join-tree and par-iter sums match sequential at every width, and the pool and OS dispatch batches execute identical job sets.".into(),
+            "pool_counters are cumulative for this process (gates + timed runs) from the global pool; the width_N scaling rows use dedicated pools not included in these counters.".into(),
+        ],
+        &args,
+    );
     eprintln!(
         "[exp_threadpool] per-job dispatch: pool {per_job_pool_ns:.0} ns vs OS thread {per_job_os_ns:.0} ns ({dispatch_speedup:.1}x)"
     );

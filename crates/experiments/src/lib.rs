@@ -7,14 +7,16 @@
 //! record paper-vs-measured shape comparisons.
 //!
 //! Shared here: the Table 6 parameter grid ([`params`]), dataset/solver
-//! setup ([`setup`]), sweep execution ([`run`]), and plain-text table
-//! rendering ([`table`]).
+//! setup ([`setup`]), sweep execution ([`run`]), plain-text table
+//! rendering ([`table`]), and the `results/BENCH_*.json` recorder
+//! ([`record`]).
 
 pub mod args;
 pub mod cache;
 pub mod chart;
 pub mod cli_io;
 pub mod params;
+pub mod record;
 pub mod rss;
 pub mod run;
 pub mod setup;

@@ -10,26 +10,19 @@
 //! * [`BoundingBox`] — axis-aligned extents,
 //! * [`Polyline`] — trajectory-shaped point sequences (length, resampling),
 //! * [`GridIndex`] — a uniform-grid spatial index supporting radius queries,
-//! * [`KdTree`] — a median-split k-d tree alternative for clustered data,
-//! * [`LatLon`] / [`Projection`] — equirectangular projection for loading
-//!   real-world-style coordinates into the planar model.
+//! * [`SpatialPartition`] — the grid's cells grouped into spatial shards.
 //!
-//! All coordinates inside the planar model are metres; the synthetic city
-//! generators emit metres directly and the projection module converts degree
-//! inputs when CSV data uses latitude/longitude.
+//! All coordinates are planar metres; the synthetic city generators emit
+//! metres directly.
 
 pub mod bbox;
 pub mod grid;
-pub mod kdtree;
 pub mod partition;
 pub mod point;
 pub mod polyline;
-pub mod projection;
 
 pub use bbox::BoundingBox;
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use partition::SpatialPartition;
 pub use point::Point;
 pub use polyline::{resample_into, Polyline};
-pub use projection::{LatLon, Projection};

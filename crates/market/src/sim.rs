@@ -292,8 +292,9 @@ impl<'a> MarketSim<'a> {
             };
             record.collected += collected;
             record.regret += regret_i;
-            // Lock the deployed boards for the contract duration.
-            let expiry = day + proposal.duration_days;
+            // Lock the deployed boards for the contract duration; a
+            // contract that outlasts the day clock holds until it ends.
+            let expiry = day.saturating_add(proposal.duration_days);
             let mut billboards = Vec::with_capacity(solution.sets[i].len());
             for &sub_id in &solution.sets[i] {
                 let physical = back[sub_id.index()];
@@ -356,6 +357,28 @@ mod tests {
         // Day 2: the day-0 contracts expire before allocation.
         sim.release_expired(2);
         assert!(sim.locked_count() < locked_after_day0 + 2);
+    }
+
+    #[test]
+    fn contract_past_the_day_clock_holds_until_it_ends() {
+        let model = disjoint_model(&[10, 10, 10, 10]);
+        let mut sim = MarketSim::new(&model);
+        let cfg = MarketConfig {
+            days: 3,
+            gamma: 0.5,
+        };
+        let forever = Proposal {
+            demand: 2,
+            payment: 2.0,
+            duration_days: u32::MAX,
+            zone: None,
+        };
+        let day1 = sim.step_with_proposals(1, &[forever], &GGlobal, cfg);
+        assert_eq!(day1.outcomes[0].expires, u32::MAX);
+        let locked = sim.locked_count();
+        assert!(locked >= 1);
+        sim.step_with_proposals(2, &[], &GGlobal, cfg);
+        assert_eq!(sim.locked_count(), locked, "the contract still holds");
     }
 
     #[test]

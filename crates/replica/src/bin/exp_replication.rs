@@ -25,12 +25,12 @@
 //! `query_coverage` byte-identically to the leader at the converged
 //! seq, and its day/collected/regret must match the leader's.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use mroam_experiments::record::Record;
 use mroam_experiments::setup::{build_city, CityKind, Scale};
-use mroam_experiments::{params, rss, Args};
+use mroam_experiments::{params, Args};
 use mroam_market::host::HostConfig;
 use mroam_replica::{spawn_follower, FollowerConfig, SharedState};
 use mroam_serve::batch::BatchPolicy;
@@ -104,7 +104,6 @@ fn spawn_leader(snapshot_every: u32) -> Leader {
             max_batch: 4096,
             min_wait_nanos: 60_000_000_000,
             max_wait_nanos: 60_000_000_000,
-            adaptive: false,
         },
         ingest_queue: 16,
         wal: Some(wal),
@@ -285,27 +284,6 @@ fn main() {
     leader.handle.take().unwrap().join();
 
     // ---- emit --------------------------------------------------------
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"replication\",").unwrap();
-    writeln!(
-        json,
-        "  \"command\": \"cargo run --release -p mroam-replica --bin exp_replication\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"date\": \"{}\",",
-        args.get("date").unwrap_or("unknown")
-    )
-    .unwrap();
-    writeln!(json, "  \"host_threads\": {host_threads},").unwrap();
-    writeln!(json, "  \"days\": {days},").unwrap();
-    writeln!(json, "  \"submits_per_day\": {submits},").unwrap();
-    writeln!(json, "  \"snapshot_every\": {snapshot_every},").unwrap();
-    writeln!(json, "  \"results\": [").unwrap();
     let mut rows: Vec<(String, f64)> = Vec::new();
     for (threads, elapsed, appends, fsyncs) in &gc_rows {
         rows.push((
@@ -334,43 +312,23 @@ fn main() {
     ));
     rows.push(("feed/shipped_frames".into(), repl_frames));
     rows.push(("feed/shipped_bytes".into(), repl_bytes));
-    for (i, (name, value)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"benchmark\": \"{name}\", \"value\": {value:.9} }}{comma}"
-        )
-        .unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    let peak = rss::peak_rss_bytes()
-        .map(|b| format!("{:.1} MiB", b as f64 / (1 << 20) as f64))
-        .unwrap_or_else(|| "n/a".into());
-    writeln!(json, "  \"peak_rss\": \"{peak}\",").unwrap();
-    writeln!(json, "  \"notes\": [").unwrap();
-    writeln!(
-        json,
-        "    \"group_commit rows are the satellite measurement for WAL group commit: with one appender every per-record append pays its own fdatasync; concurrent appenders coalesce into commit groups, so fsyncs_per_append falls well below 1. Absolute appends/s depends on the medium's fsync latency (tmpdir-backed here); the amortization ratio is the transferable number.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"lag rows drive a live follower through a served-day burst on the loopback: peak_lag_seqs is bounded by the leader's solve time per day (the follower replays the same solver), and converge_s is the drain after the last day. catch_up rows attach a fresh follower after the burst: snapshot restore plus suffix replay to the durable horizon.\","
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"Correctness gates ran before timing: follower query_coverage answers and day/locked/free/collected/regret are bit-identical to the leader at the converged seq, and mutations on the follower answer the typed redirect.\""
-    )
-    .unwrap();
-    writeln!(json, "  ]").unwrap();
-    json.push_str("}\n");
-
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, &json).expect("write bench json");
-            eprintln!("[exp_replication] wrote {out}");
-        }
-        None => print!("{json}"),
-    }
+    let mut record = Record::new(
+        "replication",
+        "cargo run --release -p mroam-replica --bin exp_replication",
+        &args,
+    );
+    record
+        .host_threads()
+        .field("days", days)
+        .field("submits_per_day", submits)
+        .field("snapshot_every", snapshot_every)
+        .results("value", &rows);
+    record.emit(
+        &[
+            "group_commit rows are the satellite measurement for WAL group commit: with one appender every per-record append pays its own fdatasync; concurrent appenders coalesce into commit groups, so fsyncs_per_append falls well below 1. Absolute appends/s depends on the medium's fsync latency (tmpdir-backed here); the amortization ratio is the transferable number.".into(),
+            "lag rows drive a live follower through a served-day burst on the loopback: peak_lag_seqs is bounded by the leader's solve time per day (the follower replays the same solver), and converge_s is the drain after the last day. catch_up rows attach a fresh follower after the burst: snapshot restore plus suffix replay to the durable horizon.".into(),
+            "Correctness gates ran before timing: follower query_coverage answers and day/locked/free/collected/regret are bit-identical to the leader at the converged seq, and mutations on the follower answer the typed redirect.".into(),
+        ],
+        &args,
+    );
 }

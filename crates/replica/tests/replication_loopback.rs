@@ -73,7 +73,6 @@ fn leader_with_queue(dir: &std::path::Path, queue_msgs: usize) -> ServerHandle {
                 max_batch: 1024,
                 min_wait_nanos: 60_000_000_000,
                 max_wait_nanos: 60_000_000_000,
-                adaptive: false,
             },
             ingest_queue: 16,
             wal: Some(wal),

@@ -14,8 +14,8 @@
 //! by about one solve keeps the queueing overhead a constant factor of
 //! the unavoidable compute. So the effective window tracks an
 //! exponentially-weighted average of recent solve times, clamped to the
-//! configured `[min_wait, max_wait]` band; a fixed-window policy is just
-//! `adaptive: false` (or `min_wait == max_wait`).
+//! configured `[min_wait, max_wait]` band; setting `min_wait == max_wait`
+//! fixes the window.
 //!
 //! The batcher is deliberately clock-free: callers pass monotonic
 //! nanosecond timestamps in, so tests drive it deterministically.
@@ -29,8 +29,6 @@ pub struct BatchPolicy {
     pub min_wait_nanos: u64,
     /// Window upper bound, nanoseconds.
     pub max_wait_nanos: u64,
-    /// Track the solve-time EWMA; `false` pins the window to `max_wait`.
-    pub adaptive: bool,
 }
 
 impl Default for BatchPolicy {
@@ -39,7 +37,6 @@ impl Default for BatchPolicy {
             max_batch: 64,
             min_wait_nanos: 200_000,    // 0.2 ms
             max_wait_nanos: 20_000_000, // 20 ms
-            adaptive: true,
         }
     }
 }
@@ -102,9 +99,6 @@ impl<T> Batcher<T> {
 
     /// The effective adaptive window right now, nanoseconds.
     pub fn window_nanos(&self) -> u64 {
-        if !self.policy.adaptive {
-            return self.policy.max_wait_nanos;
-        }
         (self.solve_ewma_nanos as u64).clamp(self.policy.min_wait_nanos, self.policy.max_wait_nanos)
     }
 
@@ -156,7 +150,6 @@ mod tests {
             max_batch,
             min_wait_nanos: min_ms * 1_000_000,
             max_wait_nanos: max_ms * 1_000_000,
-            adaptive: true,
         }
     }
 
@@ -209,11 +202,10 @@ mod tests {
 
     #[test]
     fn non_adaptive_window_is_fixed() {
-        let mut b: Batcher<u32> = Batcher::new(BatchPolicy {
-            adaptive: false,
-            ..policy(10, 1, 7)
-        });
+        let mut b: Batcher<u32> = Batcher::new(policy(10, 7, 7));
         b.observe_solve(1);
+        assert_eq!(b.window_nanos(), 7_000_000);
+        b.observe_solve(1_000_000_000);
         assert_eq!(b.window_nanos(), 7_000_000);
     }
 

@@ -7,7 +7,7 @@
 //! mroam-served [--addr 127.0.0.1:7464] [--city nyc|sg] [--scale test|bench|paper]
 //!              [--algo g-order|g-global|als|bls|exact] [--gamma 0.5] [--seed N]
 //!              [--restarts N] [--shards N] [--max-batch N] [--min-wait-ms F]
-//!              [--max-wait-ms F] [--fixed-window true] [--restore path/to/snapshot.json]
+//!              [--max-wait-ms F] [--restore path/to/snapshot.json]
 //!              [--model-cache path/to/model.cov] [--static true]
 //!              [--ingest-queue N] [--wal-dir DIR] [--wal-sync record|batch|interval:MS]
 //!              [--wal-segment-kb N] [--snapshot-every N] [--replica-addr ADDR]
@@ -66,7 +66,6 @@ fn main() {
         max_batch: args.usize_or("max-batch", 64),
         min_wait_nanos: (args.f64_or("min-wait-ms", 0.2) * 1e6) as u64,
         max_wait_nanos: (args.f64_or("max-wait-ms", 20.0) * 1e6) as u64,
-        adaptive: args.get("fixed-window") != Some("true"),
     };
     let want_static = args.get("static") == Some("true");
     let ingest_queue = args.usize_or("ingest-queue", 16);

@@ -49,10 +49,10 @@ fn start_daemon(wal_dir: &Path) -> Daemon {
             "3",
             // A long fixed window so days close only on explicit
             // `run_day`, keeping the day count deterministic.
+            "--min-wait-ms",
+            "60000",
             "--max-wait-ms",
             "60000",
-            "--fixed-window",
-            "true",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

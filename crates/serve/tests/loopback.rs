@@ -37,7 +37,6 @@ fn manual_server(model: CoverageModel, max_batch: usize) -> ServerHandle {
                 max_batch,
                 min_wait_nanos: 60_000_000_000,
                 max_wait_nanos: 60_000_000_000,
-                adaptive: false,
             },
             ..ServeConfig::default()
         },

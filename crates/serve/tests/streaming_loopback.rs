@@ -52,7 +52,6 @@ fn streaming_server(engine: StreamEngine, ingest_queue: usize) -> ServerHandle {
                 max_batch: 1024,
                 min_wait_nanos: 60_000_000_000,
                 max_wait_nanos: 60_000_000_000,
-                adaptive: false,
             },
             ingest_queue,
             wal: None,
@@ -155,7 +154,7 @@ fn ingest_compact_epoch_stats_roundtrip() {
     let s = &v["stats"];
     assert_eq!(s["snapshot_epoch"].as_f64(), Some(1.0));
     assert_eq!(s["ingest_pending"].as_f64(), Some(0.0));
-    // Fixed-window policy: the adaptive window reads back verbatim.
+    // Equal window bounds: the window reads back verbatim.
     assert_eq!(s["batch_window_micros"].as_f64(), Some(60_000_000.0));
 
     shutdown(&mut conn, 8);

@@ -9,7 +9,8 @@
 //!
 //! This umbrella crate re-exports the workspace layers:
 //!
-//! * [`geo`] — points, bounding boxes, polylines, grid index, projections;
+//! * [`geo`] — points, bounding boxes, polylines, grid index, spatial
+//!   shard partition;
 //! * [`data`] — billboard/trajectory stores, CSV interchange, Table 5 stats;
 //! * [`influence`] — the meets relation, coverage model, incremental
 //!   counters, Figure 1 curves;
