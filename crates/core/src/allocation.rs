@@ -7,6 +7,14 @@
 //! pool. All algorithm moves — assign, release, cross-advertiser swap,
 //! plan exchange — are O(coverage-list length) and keep every cached value
 //! consistent.
+//!
+//! The free pool starts as the instance's available billboards in
+//! ascending id order ([`Instance::available_ids`]). A billboard outside
+//! an availability list is neither free nor ownable, so a masked instance
+//! behaves exactly like an unmasked one over a copy of the model holding
+//! only the available billboards: the copy's dense ids are the available
+//! ids in the same order, so free-list positions, swap-removes and every
+//! smaller-id tie-break line up.
 
 use crate::advertiser::Advertiser;
 use crate::instance::Instance;
@@ -61,7 +69,8 @@ pub struct Allocation<'a> {
     /// Per billboard: owning advertiser, if any.
     owner: Vec<Option<AdvertiserId>>,
     /// Per billboard: its index inside `sets[owner]` (owned) or `free`
-    /// (unowned); kept in sync by swap-remove bookkeeping.
+    /// (unowned); kept in sync by swap-remove bookkeeping. Billboards the
+    /// instance masks out stay at `NONE_POS` for good.
     pos: Vec<u32>,
     /// Per advertiser: incremental influence counter (measure-aware).
     counters: Vec<MeasuredCounter>,
@@ -84,12 +93,17 @@ pub struct Allocation<'a> {
 }
 
 impl<'a> Allocation<'a> {
-    /// Creates the empty deployment: every billboard free, every advertiser
-    /// at zero influence (regret `L_i`, or `Σ L` in total).
+    /// Creates the empty deployment: every available billboard free, every
+    /// advertiser at zero influence (regret `L_i`, or `Σ L` in total).
     pub fn new(instance: Instance<'a>) -> Self {
         let n_b = instance.model.n_billboards();
         let n_a = instance.advertisers.len();
         let n_t = instance.model.n_trajectories();
+        let free: Vec<BillboardId> = instance.available_ids().collect();
+        let mut pos = vec![NONE_POS; n_b];
+        for (p, b) in free.iter().enumerate() {
+            pos[b.index()] = p as u32;
+        }
         let counters: Vec<MeasuredCounter> = (0..n_a)
             .map(|_| MeasuredCounter::auto(n_t, n_a, instance.measure))
             .collect();
@@ -103,11 +117,11 @@ impl<'a> Allocation<'a> {
             instance,
             sets: vec![Vec::new(); n_a],
             owner: vec![None; n_b],
-            pos: (0..n_b as u32).collect(),
+            pos,
             counters,
             influences: vec![0; n_a],
             regrets,
-            free: (0..n_b).map(BillboardId::from_index).collect(),
+            free,
             total_regret,
             events: Vec::new(),
             events_base: 0,
@@ -115,7 +129,8 @@ impl<'a> Allocation<'a> {
     }
 
     /// Creates a deployment from explicit per-advertiser sets (used by tests
-    /// and by warm starts). Panics if a billboard appears twice.
+    /// and by warm starts). Panics if a billboard appears twice or is not
+    /// available.
     pub fn from_sets(instance: Instance<'a>, sets: &[Vec<BillboardId>]) -> Self {
         assert_eq!(
             sets.len(),
@@ -236,11 +251,16 @@ impl<'a> Allocation<'a> {
 
     // ---- moves -------------------------------------------------------------
 
-    /// Assigns free billboard `b` to advertiser `a`. Panics if `b` is owned.
+    /// Assigns free billboard `b` to advertiser `a`. Panics if `b` is owned
+    /// or outside the instance's availability list.
     pub fn assign(&mut self, b: BillboardId, a: AdvertiserId) {
         assert!(
             self.owner[b.index()].is_none(),
             "billboard {b} is already assigned"
+        );
+        assert!(
+            self.pos[b.index()] != NONE_POS,
+            "billboard {b} is not available"
         );
         self.remove_from_free(b);
         self.push_to_set(b, a);
@@ -558,7 +578,9 @@ impl<'a> Allocation<'a> {
     }
 
     /// Debug-only full consistency check: disjoint sets, owner/pos agreement,
-    /// counter-derived influences, cached regrets. Used by tests.
+    /// counter-derived influences, cached regrets, and every available
+    /// billboard either free or owned (masked-out ones neither). Used by
+    /// tests.
     pub fn check_invariants(&self) {
         let model = self.instance.model;
         let mut seen = vec![false; model.n_billboards()];
@@ -587,10 +609,22 @@ impl<'a> Allocation<'a> {
             assert!(!seen[b.index()], "{b} both free and assigned");
             seen[b.index()] = true;
         }
-        assert!(
-            seen.iter().all(|&s| s),
-            "billboard neither free nor assigned"
-        );
+        let mut available = vec![false; model.n_billboards()];
+        for b in self.instance.available_ids() {
+            available[b.index()] = true;
+        }
+        for (i, (&s, &avail)) in seen.iter().zip(&available).enumerate() {
+            let b = BillboardId::from_index(i);
+            if avail {
+                assert!(s, "available billboard {b} neither free nor assigned");
+            } else {
+                assert!(!s, "masked-out billboard {b} is free or assigned");
+                assert_eq!(
+                    self.pos[i], NONE_POS,
+                    "masked-out billboard {b} has a position"
+                );
+            }
+        }
         assert!(
             (self.total_regret - self.recomputed_total_regret()).abs() < 1e-6,
             "total regret drift"
@@ -687,6 +721,53 @@ mod tests {
         let advs = example1_advertisers();
         let inst = Instance::new(&model, &advs, 0.5);
         Allocation::new(inst).release(BillboardId(0));
+    }
+
+    #[test]
+    fn masked_pool_holds_only_available_billboards() {
+        let model = example1_model();
+        let advs = example1_advertisers();
+        let avail = ids(&[1, 3, 4]);
+        let inst = Instance::new(&model, &advs, 0.5).with_available(&avail);
+        let mut alloc = Allocation::new(inst);
+        assert_eq!(alloc.free_billboards(), &avail[..]);
+        alloc.check_invariants();
+        alloc.assign(BillboardId(3), AdvertiserId(0));
+        alloc.assign(BillboardId(1), AdvertiserId(2));
+        alloc.release(BillboardId(3));
+        alloc.check_invariants();
+        assert_eq!(alloc.free_billboards().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "billboard o2 is not available")]
+    fn assigning_a_masked_out_billboard_panics() {
+        let model = example1_model();
+        let advs = example1_advertisers();
+        let avail = ids(&[1, 3]);
+        let inst = Instance::new(&model, &advs, 0.5).with_available(&avail);
+        Allocation::new(inst).assign(BillboardId(2), AdvertiserId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not available")]
+    fn from_sets_rejects_masked_out_billboards() {
+        let model = example1_model();
+        let advs = example1_advertisers();
+        let inst = Instance::new(&model, &advs, 0.5).with_available(&[]);
+        let _ = Allocation::from_sets(inst, &[ids(&[0]), ids(&[]), ids(&[])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "masked-out billboard o0 is free or assigned")]
+    fn invariants_reject_a_masked_out_billboard_in_the_pool() {
+        let model = example1_model();
+        let advs = example1_advertisers();
+        let avail = ids(&[1]);
+        let inst = Instance::new(&model, &advs, 0.5).with_available(&avail);
+        let mut alloc = Allocation::new(inst);
+        alloc.push_to_free(BillboardId(0));
+        alloc.check_invariants();
     }
 
     #[test]

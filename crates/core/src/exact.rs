@@ -5,6 +5,8 @@
 //! small instances and to validate the N3DM reduction. Every billboard has
 //! `|A| + 1` choices (one per advertiser, or unassigned), enumerated by
 //! depth-first search with backtracking over a shared [`Allocation`].
+//! Only the instance's available billboards are enumerated, in ascending
+//! id order.
 
 use crate::allocation::Allocation;
 use crate::instance::Instance;
@@ -48,31 +50,31 @@ impl Solver for ExactSolver {
     }
 
     fn solve(&self, instance: &Instance<'_>) -> Solution {
-        let n_b = instance.model.n_billboards();
+        let billboards: Vec<BillboardId> = instance.available_ids().collect();
         let n_a = instance.advertisers.len();
         assert!(
-            self.state_count(n_b, n_a).is_some(),
+            self.state_count(billboards.len(), n_a).is_some(),
             "instance too large for exhaustive search: ({}+1)^{} states exceeds {}",
             n_a,
-            n_b,
+            billboards.len(),
             self.max_states
         );
 
         let mut alloc = Allocation::new(*instance);
         let mut best: Option<Solution> = None;
-        search(&mut alloc, 0, n_b, n_a, &mut best);
+        search(&mut alloc, &billboards, n_a, &mut best);
         best.expect("at least the empty deployment is enumerated")
     }
 }
 
+/// Enumerates every choice for `billboards[0]`, recursing on the rest.
 fn search(
     alloc: &mut Allocation<'_>,
-    depth: usize,
-    n_billboards: usize,
+    billboards: &[BillboardId],
     n_advertisers: usize,
     best: &mut Option<Solution>,
 ) {
-    if depth == n_billboards {
+    let Some((&b, rest)) = billboards.split_first() else {
         let better = best
             .as_ref()
             .is_none_or(|b| alloc.total_regret() < b.total_regret);
@@ -80,15 +82,14 @@ fn search(
             *best = Some(alloc.to_solution());
         }
         return;
-    }
-    let b = BillboardId::from_index(depth);
+    };
     // Choice 0: leave b unassigned.
-    search(alloc, depth + 1, n_billboards, n_advertisers, best);
+    search(alloc, rest, n_advertisers, best);
     // Choices 1..=|A|: assign b to advertiser i.
     for i in 0..n_advertisers {
         let a = AdvertiserId::from_index(i);
         alloc.assign(b, a);
-        search(alloc, depth + 1, n_billboards, n_advertisers, best);
+        search(alloc, rest, n_advertisers, best);
         alloc.release(b);
     }
 }
@@ -148,6 +149,28 @@ mod tests {
         let sol = ExactSolver::default().solve(&inst);
         assert_eq!(sol.n_assigned(), 0);
         assert_eq!(sol.total_regret, 10.0);
+    }
+
+    #[test]
+    fn masked_exact_matches_the_copied_instance() {
+        let model = mroam_influence::CoverageModel::from_lists(
+            vec![vec![0, 1], vec![1, 2], vec![3, 4, 5], vec![2, 3], vec![6]],
+            7,
+        );
+        let advs = AdvertiserSet::new(vec![Advertiser::new(3, 5.0), Advertiser::new(2, 4.0)]);
+        let avail = crate::testutil::ids(&[0, 2, 3]);
+        let copy = crate::testutil::copied_submodel(&model, &avail);
+        let masked =
+            ExactSolver::default().solve(&Instance::new(&model, &advs, 0.5).with_available(&avail));
+        let want = ExactSolver::default().solve(&Instance::new(&copy, &advs, 0.5));
+        let mapped: Vec<Vec<BillboardId>> = want
+            .sets
+            .iter()
+            .map(|set| set.iter().map(|b| avail[b.index()]).collect())
+            .collect();
+        assert_eq!(masked.sets, mapped);
+        assert_eq!(masked.influences, want.influences);
+        assert_eq!(masked.total_regret.to_bits(), want.total_regret.to_bits());
     }
 
     #[test]

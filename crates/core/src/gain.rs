@@ -21,12 +21,13 @@
 //!   the allocation's [`event log`](crate::allocation::AllocEvent), each
 //!   own-move costs O(deg) counter bumps — no per-trajectory fan-out, no
 //!   per-candidate rescore.
-//! * **O(1) scoring pass.** A query walks all billboards once: owned and
-//!   zero-influence candidates are skipped; zero-overlap candidates fold
-//!   their exact score (`gain = I({o})` plugged into the same
-//!   [`Allocation::regret_decrease_of_gain`] closed form the naive scan
-//!   evaluates, valid on both sides of the demand boundary); overlapped
-//!   candidates are deferred.
+//! * **O(1) scoring pass.** A query walks the instance's available
+//!   billboards once (every id, or the availability list in ascending
+//!   order): owned and zero-influence candidates are skipped;
+//!   zero-overlap candidates fold their exact score (`gain = I({o})`
+//!   plugged into the same [`Allocation::regret_decrease_of_gain`] closed
+//!   form the naive scan evaluates, valid on both sides of the demand
+//!   boundary); overlapped candidates are deferred.
 //! * **Exact deferred evaluation where laziness is unsound.** A deferred
 //!   candidate needs its true gain in two cases: it could cross the demand
 //!   boundary (`I({o}) ≥ demand − I(S_a)`, where Eq. 1 switches branches
@@ -37,11 +38,13 @@
 //!   of the model's [`CoverageBitmap`](mroam_influence::CoverageBitmap)
 //!   row against a maintained covered-trajectory bitset (same integer a
 //!   counter walk yields, in `⌈|T|/64⌉` word ops), falling back to real
-//!   coverage walks when the bitmap is over budget; rayon-chunked when
-//!   the list is large. Non-submodular measures
-//!   (`Impressions{k ≥ 2}`, where a zero-overlap gain is *not* `I({o})`)
-//!   disable laziness entirely and use the exact scan; Volume's gains never
-//!   depend on overlap, so every candidate scores in O(1).
+//!   coverage walks when the bitmap is over budget. Non-submodular
+//!   measures (`Impressions{k ≥ 2}`, where a zero-overlap gain is *not*
+//!   `I({o})`) disable laziness entirely and use the exact scan; Volume's
+//!   gains never depend on overlap, so every candidate scores in O(1).
+//!
+//! Every scan is sequential: a candidate costs a few nanoseconds, less
+//! than the wake-up a fan-out over the pool would cost (DESIGN.md §10).
 //!
 //! The engine returns **bit-identical** picks to the naive scan. Every
 //! folded score is produced by the same float expression the naive scan
@@ -55,44 +58,6 @@
 
 use crate::allocation::{AllocEvent, Allocation};
 use mroam_data::{AdvertiserId, BillboardId};
-
-/// Below this many candidates the exact scans stay sequential. With the
-/// work-stealing pool a parallel dispatch is a deque push (~100ns), not an
-/// OS-thread spawn, so the break-even sits far lower than the old stub's
-/// 1024. Both paths compute the identical result.
-const PAR_SCAN_MIN: usize = 256;
-
-/// Partitioned argmax over `items`: contiguous chunks folded as scoped
-/// pool tasks ([`rayon::scope`] on the work-stealing runtime), then merged
-/// **in chunk order** with [`merge_best`]. The comparison is a total order
-/// on `(score, −id)`, so the reduction is associative and the result is
-/// bit-identical to the sequential left fold regardless of thread count,
-/// chunk boundaries, or scheduling. `n_tasks ≤ 1` (or a single item)
-/// short-circuits to the plain fold.
-pub(crate) fn partitioned_fold_best<T, F>(
-    items: &[T],
-    n_tasks: usize,
-    eval: &F,
-) -> Option<(f64, BillboardId)>
-where
-    T: Sync,
-    F: Fn(Option<(f64, BillboardId)>, &T) -> Option<(f64, BillboardId)> + Sync,
-{
-    let n_tasks = n_tasks.clamp(1, items.len().max(1));
-    if n_tasks <= 1 {
-        return items.iter().fold(None, eval);
-    }
-    let chunk = items.len().div_ceil(n_tasks);
-    let mut parts: Vec<Option<(f64, BillboardId)>> = vec![None; items.len().div_ceil(chunk)];
-    rayon::scope(|s| {
-        for (slot, ch) in parts.iter_mut().zip(items.chunks(chunk)) {
-            s.spawn(move |_| {
-                *slot = ch.iter().fold(None, eval);
-            });
-        }
-    });
-    parts.into_iter().fold(None, merge_best)
-}
 
 /// Per-advertiser lazy state: one overlap counter per billboard, allocated
 /// on first query (many advertisers are never queried).
@@ -188,13 +153,6 @@ pub struct GainEngine {
     cursor: usize,
     /// Whether lazy evaluation is sound for the instance's measure.
     lazy: bool,
-    /// Forced task count for the partitioned frontier scans; `None`
-    /// follows the rayon pool width. Tests force >1 to exercise the
-    /// sharded path on single-core hosts.
-    scan_tasks: Option<usize>,
-    /// Lets in-module tests run a forced multi-task scan even on a
-    /// 1-wide pool, bypassing the width-1 clamp in [`Self::tasks`].
-    scan_unclamped: bool,
     advs: Vec<AdvState>,
 }
 
@@ -205,55 +163,9 @@ impl GainEngine {
         Self {
             cursor: alloc.event_cursor(),
             lazy: alloc.instance().measure.is_submodular(),
-            scan_tasks: None,
-            scan_unclamped: false,
             advs: (0..alloc.n_advertisers())
                 .map(|_| AdvState::default())
                 .collect(),
-        }
-    }
-
-    /// Forces the partitioned pick-round scans onto `n_tasks` scoped
-    /// tasks (or back to the width-scaled default with `None`). Any value returns
-    /// bit-identical picks — the reduction is associative with a total
-    /// order — so this only exists for tests and benches to pin the
-    /// sharded path regardless of host width, mirroring the
-    /// `build_parallel_with` convention of the derived-structure builds.
-    ///
-    /// The count is a *hint*: on a 1-wide pool every task would run
-    /// inline on the caller anyway, so the forced count is clamped to
-    /// one sequential scan (see [`Self::tasks`]).
-    pub fn set_scan_tasks(&mut self, n_tasks: Option<usize>) {
-        self.scan_tasks = n_tasks;
-        self.scan_unclamped = false;
-    }
-
-    /// Test hook: like [`Self::set_scan_tasks`] but exempt from the
-    /// width-1 clamp, so the spawn+merge machinery itself stays covered
-    /// by `cargo test` on single-core hosts.
-    #[cfg(test)]
-    fn set_scan_tasks_unclamped(&mut self, n_tasks: usize) {
-        self.scan_tasks = Some(n_tasks);
-        self.scan_unclamped = true;
-    }
-
-    /// The task count the partitioned scans run at. The default splits by
-    /// pool width with a ×4 over-partition: shards are pool jobs (a deque
-    /// push each), so extra shards cost ~nothing and let a straggling
-    /// dense shard be balanced by stealing; width 1 stays at one task
-    /// (pure sequential scans). Any count yields bit-identical picks, so
-    /// a forced count is also clamped to 1 when the pool is 1 wide —
-    /// `BENCH_scale.json` measured forced 8-task scans at 1.6× the
-    /// sequential cost on a 1-core host, pure spawn+merge overhead for
-    /// work that all runs inline on the caller anyway.
-    fn tasks(&self) -> usize {
-        let width = rayon::current_num_threads();
-        if width <= 1 && !self.scan_unclamped {
-            return 1;
-        }
-        match self.scan_tasks {
-            Some(n) => n.max(1),
-            None => width.max(1) * 4,
         }
     }
 
@@ -317,7 +229,6 @@ impl GainEngine {
         }
         let gap = adv.demand - influence;
         let model = alloc.instance().model;
-        let tasks = self.tasks();
         let st = &mut self.advs[a.index()];
         if !st.seeded {
             st.seed(alloc, a);
@@ -333,48 +244,19 @@ impl GainEngine {
         // `1/I_d` (at least 2⁻⁶⁴ for any representable influence) dwarfs
         // the ulps for any normal score.
         //
-        // Past `PAR_SCAN_MIN` candidates the scan is partitioned over
-        // scoped tasks, one contiguous billboard range each. Shard
-        // results are merged **in shard order**: the running best through
-        // the associative [`merge_best`] total order, `have_safe_zero` as
-        // a boolean OR, and the deferred lists by concatenation — ranges
-        // ascend, so the concatenation reproduces the sequential deferred
-        // order exactly and every downstream step sees identical state.
-        let n_b = model.n_billboards();
-        let mut best: Option<(f64, BillboardId)>;
-        let mut have_safe_zero;
+        // A masked instance scans its availability list, an unmasked one
+        // every id; either way candidates come in ascending id order.
         st.deferred.clear();
-        if tasks > 1 && n_b >= PAR_SCAN_MIN {
-            let shard = n_b.div_ceil(tasks);
-            let adj_cnt = &st.adj_cnt;
-            type ShardResult = (Option<(f64, BillboardId)>, bool, Vec<u32>);
-            let mut parts: Vec<Option<ShardResult>> = vec![None; n_b.div_ceil(shard)];
-            rayon::scope(|s| {
-                for (i, slot) in parts.iter_mut().enumerate() {
-                    let lo = (i * shard) as u32;
-                    let hi = ((i + 1) * shard).min(n_b) as u32;
-                    s.spawn(move |_| {
-                        let mut deferred = Vec::new();
-                        let (b, safe) =
-                            scan_frontier_range(alloc, a, gap, adj_cnt, lo..hi, &mut deferred);
-                        *slot = Some((b, safe, deferred));
-                    });
-                }
-            });
-            best = None;
-            have_safe_zero = false;
-            for part in parts {
-                let (b, safe, deferred) = part.expect("scan shard completed");
-                best = merge_best(best, b);
-                have_safe_zero |= safe;
-                st.deferred.extend_from_slice(&deferred);
+        let (mut best, have_safe_zero) = match alloc.instance().available() {
+            None => {
+                let ids = 0..model.n_billboards() as u32;
+                scan_frontier(alloc, a, gap, &st.adj_cnt, ids, &mut st.deferred)
             }
-        } else {
-            let (b, safe) =
-                scan_frontier_range(alloc, a, gap, &st.adj_cnt, 0..n_b as u32, &mut st.deferred);
-            best = b;
-            have_safe_zero = safe;
-        }
+            Some(list) => {
+                let ids = list.iter().map(|b| b.0);
+                scan_frontier(alloc, a, gap, &st.adj_cnt, ids, &mut st.deferred)
+            }
+        };
 
         // Exact evaluation of the deferred candidates the O(1) pass could
         // not rule out: boundary-crossers always; safe ones only when no
@@ -401,33 +283,28 @@ impl GainEngine {
                 _ => fold_free(alloc, a, acc, b),
             }
         };
-        let deferred_best = if tasks <= 1 || st.deferred.len() < PAR_SCAN_MIN {
-            st.deferred.iter().fold(None, eval_one)
-        } else {
-            partitioned_fold_best(&st.deferred, tasks, &eval_one)
-        };
+        let deferred_best = st.deferred.iter().fold(None, eval_one);
         best = merge_best(best, deferred_best);
         best.map(|(_, b)| b)
     }
 }
 
-/// The sequential frontier scan over one contiguous billboard range: the
-/// body of [`GainEngine::best_billboard`]'s O(1) pass, factored out so the
-/// partitioned pick rounds run it per shard. Returns the range's best
+/// The frontier scan over ascending candidate ids: the body of
+/// [`GainEngine::best_billboard`]'s O(1) pass. Returns the best
 /// zero-overlap candidate and whether a safe positive zero-overlap score
 /// was seen; overlapped candidates are appended to `deferred` in id order.
-fn scan_frontier_range(
+fn scan_frontier(
     alloc: &Allocation<'_>,
     a: AdvertiserId,
     gap: u64,
     adj_cnt: &[u32],
-    range: std::ops::Range<u32>,
+    ids: impl Iterator<Item = u32>,
     deferred: &mut Vec<u32>,
 ) -> (Option<(f64, BillboardId)>, bool) {
     let model = alloc.instance().model;
     let mut best: Option<(f64, BillboardId)> = None;
     let mut have_safe_zero = false;
-    for id in range {
+    for id in ids {
         let b = BillboardId(id);
         if alloc.owner_of(b).is_some() {
             continue;
@@ -472,9 +349,8 @@ fn fold_candidate(
     }
 }
 
-/// Merges two partial maxima. The comparison is a total order on
-/// `(score, −id)`, so chunked parallel reduction is associative and
-/// bit-identical to the sequential fold.
+/// Merges two partial maxima under the fold's comparison (greater score
+/// wins; ties toward the smaller id).
 #[inline]
 fn merge_best(
     x: Option<(f64, BillboardId)>,
@@ -508,25 +384,14 @@ fn fold_free(
     fold_candidate(best, ratio, b)
 }
 
-/// Exact argmax over the free pool — the naive selection rule, chunked over
-/// rayon when the pool is large. Used directly where laziness is unsound.
+/// Exact argmax over the free pool — the naive selection rule. Used
+/// directly where laziness is unsound.
 pub fn exact_best_billboard(alloc: &Allocation<'_>, a: AdvertiserId) -> Option<BillboardId> {
-    scan_free(alloc, a, PAR_SCAN_MIN).map(|(_, b)| b)
-}
-
-pub(crate) fn scan_free(
-    alloc: &Allocation<'_>,
-    a: AdvertiserId,
-    par_min: usize,
-) -> Option<(f64, BillboardId)> {
-    let free = alloc.free_billboards();
-    let tasks = rayon::current_num_threads();
-    if tasks <= 1 || free.len() < par_min {
-        free.iter()
-            .fold(None, |acc, &b| fold_free(alloc, a, acc, b))
-    } else {
-        partitioned_fold_best(free, tasks, &|acc, &b| fold_free(alloc, a, acc, b))
-    }
+    alloc
+        .free_billboards()
+        .iter()
+        .fold(None, |acc, &b| fold_free(alloc, a, acc, b))
+        .map(|(_, b)| b)
 }
 
 #[cfg(test)]
@@ -782,10 +647,8 @@ mod tests {
         replay_in_lockstep(&mut naive, &mut lazy, &mut engine, "post-release").unwrap();
     }
 
-    /// A deterministic overlapping instance big enough to cross
-    /// `PAR_SCAN_MIN` (so the partitioned pick rounds actually shard):
-    /// `n_b` billboards over `n_t` trajectories with a mix of hub overlap
-    /// and pseudo-random spread.
+    /// A deterministic overlapping instance: `n_b` billboards over `n_t`
+    /// trajectories with a mix of hub overlap and pseudo-random spread.
     fn large_overlapping_lists(n_b: usize, n_t: u32, seed: u64) -> Vec<Vec<u32>> {
         (0..n_b)
             .map(|b| {
@@ -810,118 +673,34 @@ mod tests {
             .collect()
     }
 
-    /// The parallel-pick tentpole contract: forcing the partitioned
-    /// frontier scan onto any task count reproduces the sequential pick
-    /// sequence bit-identically, through a full G-Global-style replay.
-    /// (`RAYON_NUM_THREADS` is latched process-wide, so the width itself
-    /// is pinned the same way the derived-build tests pin theirs: by
-    /// forcing the shard count explicitly; CI additionally runs the whole
-    /// suite at `RAYON_NUM_THREADS=4`.)
+    /// A masked instance's frontier scan walks its availability list:
+    /// every pick equals the naive scan over the masked free pool. The
+    /// disjoint city is demanded past its supply, so every available
+    /// billboard is picked at some point and a candidate the scan skipped
+    /// would show.
     #[test]
-    fn sharded_pick_sequence_matches_sequential() {
-        for seed in [1u64, 42] {
-            let lists = large_overlapping_lists(1500, 160, seed);
-            let model = CoverageModel::from_lists(lists, 160);
-            let advs = AdvertiserSet::new(vec![
-                Advertiser::new(60, 50.0),
-                Advertiser::new(25, 9.0),
-                Advertiser::new(90, 120.0),
-            ]);
-            let inst = Instance::new(&model, &advs, 0.7);
-
-            let mut seq_alloc = Allocation::new(inst);
-            let mut seq_engine = GainEngine::new(&seq_alloc);
-            seq_engine.set_scan_tasks(Some(1));
-
-            for tasks in [2usize, 3, 7] {
-                let mut par_alloc = Allocation::new(inst);
-                let mut par_engine = GainEngine::new(&par_alloc);
-                // Unclamped: the whole point is to exercise the sharded
-                // scan machinery even on a 1-wide test host.
-                par_engine.set_scan_tasks_unclamped(tasks);
-
-                // Round-robin G-Global grants, in lockstep.
-                let n = seq_alloc.n_advertisers();
-                loop {
-                    let mut advanced = false;
-                    for i in 0..n {
-                        let a = AdvertiserId::from_index(i);
-                        if seq_alloc.is_satisfied(a) {
-                            continue;
-                        }
-                        let want = seq_engine.best_billboard(&seq_alloc, a);
-                        let got = par_engine.best_billboard(&par_alloc, a);
-                        assert_eq!(want, got, "tasks={tasks} advertiser {i} diverged");
-                        if let Some(b) = want {
-                            seq_alloc.assign(b, a);
-                            par_alloc.assign(b, a);
-                            advanced = true;
-                        }
-                    }
-                    if !advanced {
-                        break;
-                    }
-                }
-                assert_eq!(seq_alloc.total_regret(), par_alloc.total_regret());
-                // Reset the sequential twin for the next task count.
-                seq_alloc = Allocation::new(inst);
-                seq_engine = GainEngine::new(&seq_alloc);
-                seq_engine.set_scan_tasks(Some(1));
-            }
-        }
-    }
-
-    /// The partitioned reduction primitive itself: any task count equals
-    /// the sequential fold, including counts above the item count.
-    #[test]
-    fn partitioned_fold_matches_sequential_fold() {
-        let scores: Vec<(f64, u32)> = (0..333u32)
-            .map(|i| {
-                (
-                    (i.wrapping_mul(2654435761).wrapping_add(i) % 97) as f64 / 97.0,
-                    i,
-                )
-            })
+    fn masked_picks_match_the_naive_scan() {
+        let sizes: Vec<u32> = (0..1500u32).map(|b| b * 7 % 5 + 1).collect();
+        let models = [
+            CoverageModel::from_lists(large_overlapping_lists(1500, 160, 7), 160),
+            disjoint_model(&sizes),
+        ];
+        let avail: Vec<BillboardId> = (0..1500u32)
+            .filter(|b| b % 3 != 1)
+            .map(BillboardId)
             .collect();
-        let eval = |acc: Option<(f64, BillboardId)>, it: &(f64, u32)| {
-            fold_candidate(acc, it.0, BillboardId(it.1))
-        };
-        let want = scores.iter().fold(None, eval);
-        for tasks in [1usize, 2, 3, 8, 64, 1000] {
-            assert_eq!(
-                partitioned_fold_best(&scores, tasks, &eval),
-                want,
-                "{tasks} tasks"
-            );
+        let advs = AdvertiserSet::new(vec![
+            Advertiser::new(1400, 50.0),
+            Advertiser::new(60, 9.0),
+            Advertiser::new(1900, 120.0),
+        ]);
+        for model in &models {
+            let inst = Instance::new(model, &advs, 0.7).with_available(&avail);
+            let mut naive = Allocation::new(inst);
+            let mut lazy = Allocation::new(inst);
+            let mut engine = GainEngine::new(&lazy);
+            replay_in_lockstep(&mut naive, &mut lazy, &mut engine, "masked").unwrap();
+            lazy.check_invariants();
         }
-        // Ties: equal scores must resolve to the smallest id through any
-        // chunking.
-        let ties: Vec<(f64, u32)> = (0..2048u32).rev().map(|i| (0.5, i)).collect();
-        for tasks in [1usize, 2, 7, 31] {
-            assert_eq!(
-                partitioned_fold_best(&ties, tasks, &eval),
-                Some((0.5, BillboardId(0))),
-                "{tasks} tasks (ties)"
-            );
-        }
-        assert_eq!(partitioned_fold_best::<(f64, u32), _>(&[], 4, &eval), None);
-    }
-
-    /// The rayon-chunked paths must compute the identical result as the
-    /// sequential folds; force both with `par_min` 0 / `usize::MAX`.
-    #[test]
-    fn parallel_scans_match_sequential() {
-        let sizes: Vec<u32> = (1..=40).collect();
-        let model = disjoint_model(&sizes);
-        let advs = AdvertiserSet::new(vec![Advertiser::new(35, 20.0)]);
-        let inst = Instance::new(&model, &advs, 0.7);
-        let mut alloc = Allocation::new(inst);
-        let a = AdvertiserId(0);
-
-        assert_eq!(scan_free(&alloc, a, usize::MAX), scan_free(&alloc, a, 0));
-
-        alloc.assign(BillboardId(0), a);
-        alloc.assign(BillboardId(1), a);
-        assert_eq!(scan_free(&alloc, a, usize::MAX), scan_free(&alloc, a, 0));
     }
 }

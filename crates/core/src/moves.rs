@@ -76,10 +76,16 @@ use mroam_data::{AdvertiserId, BillboardId};
 use mroam_influence::{kernel, CoverageBitmap};
 use rayon::prelude::*;
 
-/// Below this many candidates a scan stays sequential. A parallel
-/// dispatch on the work-stealing pool is a deque push, not an OS-thread
-/// spawn, so the break-even sits far lower than the old stub's 1024. Both
-/// paths compute the identical result (minimum-index semantics).
+/// Below this many candidates a swap scan stays sequential. A fan-out
+/// across cores costs 15–20 µs of wake-up, but each swap candidate is
+/// priced with a swap delta, not an O(1) score, so these scans can repay
+/// it where the gain engine's pick scans could not. Measured on a 2-vCPU
+/// host at pool width 2 (bench-scale NYC and SG, BLS, 3 rounds of 5
+/// solves): splitting the cross-swap scan, the free-swap scan, both or
+/// neither from 256 candidates gave BLS medians within run-to-run noise
+/// of each other (NYC 387–528 ms, SG 535–811 ms), all faster than at
+/// width 1 (NYC 661–684 ms, SG 844–1,240 ms). Both paths compute the
+/// identical result (minimum-index semantics).
 const PAR_SCAN_MIN: usize = 256;
 
 /// Sentinel marking a cached unique contribution as stale. Real losses

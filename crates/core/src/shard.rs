@@ -17,16 +17,17 @@
 //!    pro rata — every share is a smaller advertiser of the same
 //!    budget-effectiveness, so shard-local solvers order it exactly as
 //!    the global solver would.
-//! 2. **Solve.** Every shard solves its own sub-instance —
-//!    [`CoverageModel::restricted`] over the shard's billboards (full
-//!    trajectory id space, so no trajectory remapping) with the routed
-//!    advertiser shares — in parallel on the work-stealing pool. Each
-//!    shard is an independent `Solver` run: same code, smaller city.
+//! 2. **Solve.** Every shard solves its own sub-instance — the same
+//!    model masked to the shard's available billboards
+//!    ([`Instance::with_available`]) with the routed advertiser shares —
+//!    in parallel on the work-stealing pool. Each shard is an independent
+//!    `Solver` run: same code, same ids, smaller inventory.
 //! 3. **Merge.** Per-advertiser sets are unioned across shards (the
-//!    billboard partition makes them disjoint by construction) and the
-//!    merged allocation is re-counted on the *full* model, which
-//!    collapses any cross-shard double-count of a trajectory covered
-//!    from both sides of a boundary.
+//!    billboard partition makes them disjoint by construction, and every
+//!    shard already answers in model ids) and the merged allocation is
+//!    re-counted under the whole instance, which collapses any
+//!    cross-shard double-count of a trajectory covered from both sides of
+//!    a boundary.
 //! 4. **Reconcile.** Split advertisers — the only ones whose optimum
 //!    can straddle a boundary — get a bounded greedy top-up from the
 //!    still-free pool: strictly regret-decreasing single additions,
@@ -97,7 +98,7 @@ impl ShardSpec {
 pub struct ShardStats {
     /// Shard index.
     pub shard: u32,
-    /// Billboards the shard owned (free inventory only).
+    /// Available billboards the shard owned.
     pub billboards: usize,
     /// Advertiser shares routed to the shard.
     pub advertisers: usize,
@@ -135,7 +136,7 @@ impl ShardReport {
             n_shards: 1,
             per_shard: vec![ShardStats {
                 shard: 0,
-                billboards: instance.model.n_billboards(),
+                billboards: instance.n_available(),
                 advertisers: instance.advertisers.len(),
                 routed_demand: instance.advertisers.global_demand(),
                 solve_micros,
@@ -242,9 +243,10 @@ fn route_demand(
 }
 
 /// Solves `instance` through the sharded engine. `spec.assignment` maps
-/// the *instance's* dense billboard ids to shards; `homes[i]` is
-/// advertiser `i`'s home shard (`None` = unplaced, demand split across
-/// shards). Returns the merged solution and the per-shard report.
+/// the model's dense billboard ids to shards, and each shard solves the
+/// instance's available billboards in it; `homes[i]` is advertiser `i`'s
+/// home shard (`None` = unplaced, demand split across shards). Returns the
+/// merged solution and the per-shard report.
 ///
 /// With `spec.n_shards == 1` (or an instance too small to split) the
 /// inner solver runs directly on `instance` — bit-identical to the
@@ -265,12 +267,12 @@ pub fn solve_sharded(
     }
 
     let model = instance.model;
-    let n_b = model.n_billboards();
 
-    // Shard inventories, ascending id within each shard.
+    // Shard inventories: the available billboards, ascending id within
+    // each shard (each is the shard's availability list).
     let mut shard_bbs: Vec<Vec<BillboardId>> = vec![Vec::new(); n_shards];
-    for b in 0..n_b {
-        shard_bbs[spec.shard_of(b) as usize].push(BillboardId(b as u32));
+    for b in instance.available_ids() {
+        shard_bbs[spec.shard_of(b.index()) as usize].push(b);
     }
     // Shard supply weights: total coverage mass (how many trajectory
     // meets the shard can sell). Drives the demand split.
@@ -282,10 +284,8 @@ pub fn solve_sharded(
     let (routed, boundary_advertisers) =
         route_demand(instance.advertisers, homes, &weights, n_shards);
 
-    // Per-shard sub-instances: restricted model (full trajectory space;
-    // `back` maps sub ids to instance ids) + routed advertiser shares.
-    let subs: Vec<(mroam_influence::CoverageModel, Vec<BillboardId>)> =
-        shard_bbs.iter().map(|bbs| model.restricted(bbs)).collect();
+    // Per-shard sub-instances: the same model masked to the shard's
+    // inventory + routed advertiser shares.
     let advs: Vec<AdvertiserSet> = routed
         .iter()
         .map(|shares| shares.iter().map(|r| r.share).collect())
@@ -297,14 +297,14 @@ pub fn solve_sharded(
     // across pool widths (the PR 7 runtime guarantee).
     let mut slots: Vec<Option<(Solution, u64)>> = (0..n_shards).map(|_| None).collect();
     rayon::scope(|scope| {
-        for ((slot, (sub_model, _)), adv_set) in slots.iter_mut().zip(subs.iter()).zip(advs.iter())
-        {
+        for ((slot, bbs), adv_set) in slots.iter_mut().zip(&shard_bbs).zip(&advs) {
             scope.spawn(move |_| {
                 if adv_set.is_empty() {
                     return;
                 }
                 let sub_instance =
-                    Instance::with_measure(sub_model, adv_set, instance.gamma, instance.measure);
+                    Instance::with_measure(model, adv_set, instance.gamma, instance.measure)
+                        .with_available(bbs);
                 let start = Instant::now();
                 let solution = solver.solve(&sub_instance);
                 *slot = Some((solution, start.elapsed().as_micros() as u64));
@@ -313,8 +313,8 @@ pub fn solve_sharded(
     });
 
     // Merge: union per-advertiser sets across shards (disjoint by the
-    // billboard partition), then recount on the full model — collapsing
-    // any cross-shard double-count of a boundary trajectory.
+    // billboard partition), then recount under the whole instance —
+    // collapsing any cross-shard double-count of a boundary trajectory.
     let merge_start = Instant::now();
     let n_a = instance.advertisers.len();
     let mut sets: Vec<Vec<BillboardId>> = vec![Vec::new(); n_a];
@@ -323,10 +323,7 @@ pub fn solve_sharded(
         let (solve_micros, local_regret) = match slot {
             Some((solution, micros)) => {
                 for (local, r) in routed[s].iter().enumerate() {
-                    let back = &subs[s].1;
-                    for &sub_b in &solution.sets[local] {
-                        sets[r.global].push(back[sub_b.index()]);
-                    }
+                    sets[r.global].extend_from_slice(&solution.sets[local]);
                 }
                 (*micros, solution.total_regret)
             }
@@ -401,7 +398,7 @@ mod tests {
     use super::*;
     use crate::greedy::GGlobal;
     use crate::solver::SolverSpec;
-    use crate::testutil::disjoint_model;
+    use crate::testutil::{copied_submodel, disjoint_model};
     use proptest::prelude::*;
 
     /// A spec assigning blocks of billboard ids round-robin-by-block to
@@ -472,7 +469,7 @@ mod tests {
                     .filter(|&b| spec.shard_of(b) == s as u32)
                     .map(|b| BillboardId(b as u32))
                     .collect();
-                let (sub_model, back) = model.restricted(&bbs);
+                let sub_model = copied_submodel(&model, &bbs);
                 let local: Vec<usize> = (0..advertisers.len())
                     .filter(|i| i % n_shards == s)
                     .collect();
@@ -487,7 +484,7 @@ mod tests {
                 let lone = GGlobal.solve(&sub_inst);
                 for (li, &gi) in local.iter().enumerate() {
                     let mut want: Vec<u32> =
-                        lone.sets[li].iter().map(|b| back[b.index()].0).collect();
+                        lone.sets[li].iter().map(|b| bbs[b.index()].0).collect();
                     want.sort_unstable();
                     let got: Vec<u32> = sharded.sets[gi].iter().map(|b| b.0).collect();
                     assert_eq!(got, want, "advertiser {gi} at n_shards={n_shards}");
@@ -577,6 +574,40 @@ mod tests {
     }
 
     #[test]
+    fn masked_reports_count_available_billboards_like_the_copy() {
+        let model = disjoint_model(&[9, 8, 7, 6, 5, 4, 3, 2]);
+        let advertisers = advs();
+        let avail = crate::testutil::ids(&[0, 2, 3, 6, 7]);
+        let copy = copied_submodel(&model, &avail);
+        let masked = Instance::new(&model, &advertisers, 0.5).with_available(&avail);
+        let reference = Instance::new(&copy, &advertisers, 0.5);
+        let homes = vec![None, Some(1), None, None];
+
+        let (_, single) = solve_sharded(&masked, &block_spec(8, 1), &homes, &GGlobal);
+        assert_eq!(single.per_shard[0].billboards, 5);
+
+        // Two shards of four ids each; the copy's spec restates them.
+        let spec = block_spec(8, 2);
+        let copy_spec = ShardSpec::new(2, avail.iter().map(|b| spec.shard_of(b.index())).collect());
+        let (got, report) = solve_sharded(&masked, &spec, &homes, &GGlobal);
+        let (want, want_report) = solve_sharded(&reference, &copy_spec, &homes, &GGlobal);
+        let counts: Vec<(usize, u64)> = report
+            .per_shard
+            .iter()
+            .map(|s| (s.billboards, s.routed_demand))
+            .collect();
+        let want_counts: Vec<(usize, u64)> = want_report
+            .per_shard
+            .iter()
+            .map(|s| (s.billboards, s.routed_demand))
+            .collect();
+        assert_eq!(counts, want_counts);
+        assert_eq!(counts.iter().map(|c| c.0).collect::<Vec<_>>(), vec![3, 2]);
+        assert_eq!(got.influences, want.influences);
+        assert_eq!(got.total_regret.to_bits(), want.total_regret.to_bits());
+    }
+
+    #[test]
     fn apportion_is_exact_and_deterministic() {
         assert_eq!(apportion(10, &[1, 1]), vec![5, 5]);
         assert_eq!(apportion(10, &[0, 0]), vec![10, 0]);
@@ -655,7 +686,7 @@ mod tests {
                     if local.is_empty() {
                         continue;
                     }
-                    let (sub_model, back) = model.restricted(&bbs);
+                    let sub_model = copied_submodel(&model, &bbs);
                     let sub_advs: AdvertiserSet = local
                         .iter()
                         .map(|&i| *advertisers.get(AdvertiserId::from_index(i)))
@@ -663,7 +694,7 @@ mod tests {
                     let lone = GGlobal.solve(&Instance::new(&sub_model, &sub_advs, 0.5));
                     for (li, &gi) in local.iter().enumerate() {
                         let mut want: Vec<u32> =
-                            lone.sets[li].iter().map(|b| back[b.index()].0).collect();
+                            lone.sets[li].iter().map(|b| bbs[b.index()].0).collect();
                         want.sort_unstable();
                         let got: Vec<u32> = sharded.sets[gi].iter().map(|b| b.0).collect();
                         prop_assert_eq!(got, want);

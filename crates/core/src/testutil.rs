@@ -48,3 +48,13 @@ pub fn example1_advertisers() -> AdvertiserSet {
         Advertiser::new(8, 20.0),
     ])
 }
+
+/// A copy of `model` holding only the billboards `ids` (ascending), built
+/// through [`CoverageModel::from_lists`]: the copy's billboard `k` is
+/// `ids[k]`, over the same trajectory ids. Tests solve on it as an
+/// oracle for [`Instance::with_available`](crate::Instance::with_available)
+/// that shares no code with the mask.
+pub fn copied_submodel(model: &CoverageModel, ids: &[BillboardId]) -> CoverageModel {
+    let lists = ids.iter().map(|&b| model.coverage(b).to_vec()).collect();
+    CoverageModel::from_lists(lists, model.n_trajectories())
+}

@@ -18,14 +18,14 @@ use crate::allocation::Allocation;
 use crate::instance::Instance;
 use mroam_data::AdvertiserId;
 
-/// `ψ` for one advertiser: the maximum individual billboard influence over
-/// the advertiser's demand (clamped to 1, since a single board covering
-/// more than the demand saturates the ratio the analysis uses).
+/// `ψ` for one advertiser: the maximum individual influence of an
+/// available billboard over the advertiser's demand (clamped to 1, since a
+/// single board covering more than the demand saturates the ratio the
+/// analysis uses).
 pub fn psi(instance: &Instance<'_>, advertiser: AdvertiserId) -> f64 {
     let demand = instance.advertisers.get(advertiser).demand as f64;
     let max_influence = instance
-        .model
-        .billboard_ids()
+        .available_ids()
         .map(|b| instance.model.influence_of(b))
         .max()
         .unwrap_or(0) as f64;
@@ -33,13 +33,14 @@ pub fn psi(instance: &Instance<'_>, advertiser: AdvertiserId) -> f64 {
 }
 
 /// The Theorem 2 approximation factor
-/// `ρ = max[(1 + r·|U|), (1 − ψ)^{−|U|}]` for one advertiser.
+/// `ρ = max[(1 + r·|U|), (1 − ψ)^{−|U|}]` for one advertiser, with `U` the
+/// instance's available billboards.
 ///
 /// Returns `f64::INFINITY` when `ψ = 1` (a single board can satisfy the
 /// whole demand, where the case-(b) bound degenerates — the paper's bound
 /// is vacuous there).
 pub fn approximation_factor(instance: &Instance<'_>, advertiser: AdvertiserId, r: f64) -> f64 {
-    let n_u = instance.model.n_billboards() as f64;
+    let n_u = instance.n_available() as f64;
     let psi_v = psi(instance, advertiser);
     let case_a = 1.0 + r * n_u;
     let case_b = if psi_v >= 1.0 {
@@ -123,6 +124,27 @@ mod tests {
         let advs = AdvertiserSet::new(vec![Advertiser::new(12, 12.0)]);
         let inst = Instance::new(&model, &advs, 1.0);
         assert_eq!(psi(&inst, AdvertiserId(0)), 0.5);
+    }
+
+    #[test]
+    fn masked_psi_and_factor_match_the_copied_instance() {
+        // The influence-9 board is masked out, so ψ and |U| come from the
+        // three available boards only.
+        let model = disjoint_model(&[3, 9, 2, 4, 1]);
+        let advs = AdvertiserSet::new(vec![Advertiser::new(12, 12.0)]);
+        let avail = crate::testutil::ids(&[0, 2, 3]);
+        let copy = crate::testutil::copied_submodel(&model, &avail);
+        let masked = Instance::new(&model, &advs, 1.0).with_available(&avail);
+        let reference = Instance::new(&copy, &advs, 1.0);
+        let a = AdvertiserId(0);
+        assert_eq!(psi(&masked, a), psi(&reference, a));
+        assert_eq!(psi(&masked, a), 4.0 / 12.0);
+        for r in [0.0, 0.5] {
+            assert_eq!(
+                approximation_factor(&masked, a, r),
+                approximation_factor(&reference, a, r)
+            );
+        }
     }
 
     #[test]

@@ -53,18 +53,17 @@ pub fn solution_carries_over(prev: &Solution, changed: &[u32]) -> bool {
         .all(|b| changed.binary_search(&b.0).is_err())
 }
 
-/// Projects previous-epoch sets onto the new model: drops any billboard
-/// that no longer influences anyone (retired billboards have empty
-/// coverage lists; their ids stay valid but holding them is pointless).
-/// Dropping a zero-influence billboard never changes `I(S_a)` or regret.
+/// Projects previous-epoch sets onto the new instance: drops any billboard
+/// the instance does not make available, and any that no longer
+/// influences anyone (retired billboards have empty coverage lists; their
+/// ids stay valid but holding them is pointless). Dropping a
+/// zero-influence billboard never changes `I(S_a)` or regret.
 pub fn carried_sets(instance: &Instance<'_>, prev: &[Vec<BillboardId>]) -> Vec<Vec<BillboardId>> {
     prev.iter()
         .map(|set| {
             set.iter()
                 .copied()
-                .filter(|&b| {
-                    b.index() < instance.model.n_billboards() && instance.model.influence_of(b) > 0
-                })
+                .filter(|&b| instance.is_available(b) && instance.model.influence_of(b) > 0)
                 .collect()
         })
         .collect()
@@ -200,6 +199,28 @@ mod tests {
         // Dropping it leaves the warm metrics identical to keeping it.
         let warm = warm_g_global(&inst, &prev);
         assert_eq!(warm.influences[0], 3);
+    }
+
+    #[test]
+    fn carried_sets_drop_masked_out_billboards() {
+        let model = disjoint_model(&[3, 3, 3, 3]);
+        let a = advs(&[(6, 4.0), (3, 2.0)]);
+        let avail = crate::testutil::ids(&[1, 3]);
+        let inst = Instance::new(&model, &a, 0.5).with_available(&avail);
+        let prev = vec![
+            vec![BillboardId(0), BillboardId(1)],
+            vec![BillboardId(2), BillboardId(3)],
+        ];
+        let sets = carried_sets(&inst, &prev);
+        assert_eq!(sets, vec![vec![BillboardId(1)], vec![BillboardId(3)]]);
+        // A warm solve over the mask equals one over the copy, mapped.
+        let copy = crate::testutil::copied_submodel(&model, &avail);
+        let copy_inst = Instance::new(&copy, &a, 0.5);
+        let copy_prev = vec![vec![BillboardId(0)], vec![BillboardId(1)]];
+        let warm = warm_g_global(&inst, &prev);
+        let want = warm_g_global(&copy_inst, &copy_prev);
+        assert_eq!(warm.influences, want.influences);
+        assert_eq!(warm.total_regret.to_bits(), want.total_regret.to_bits());
     }
 
     #[test]

@@ -1058,25 +1058,6 @@ impl CoverageModel {
         counter.influence()
     }
 
-    /// Restricts the model to a subset of billboards, producing a compact
-    /// sub-model plus the mapping from the sub-model's dense ids back to
-    /// this model's ids. Used by the market simulator to solve over the
-    /// currently *unlocked* inventory only.
-    ///
-    /// `available` may be in any order; duplicates are rejected.
-    pub fn restricted(&self, available: &[BillboardId]) -> (CoverageModel, Vec<BillboardId>) {
-        let mut back: Vec<BillboardId> = available.to_vec();
-        back.sort_unstable();
-        assert!(
-            back.windows(2).all(|w| w[0] != w[1]),
-            "duplicate billboard in restriction"
-        );
-        let lists: Vec<Vec<u32>> = back.iter().map(|&b| self.coverage(b).to_vec()).collect();
-        let sub = CoverageModel::from_lists(lists, self.n_trajectories)
-            .with_bitmap_budget(self.bitmap_budget);
-        (sub, back)
-    }
-
     /// All billboard ids, ascending.
     pub fn billboard_ids(&self) -> impl Iterator<Item = BillboardId> + '_ {
         (0..self.cov.len()).map(BillboardId::from_index)
@@ -1202,34 +1183,6 @@ mod tests {
         assert_eq!(m.coverage(BillboardId(0)), &[0]);
         assert_eq!(m.coverage(BillboardId(1)), &[1]);
         assert_eq!(m.supply(), 2);
-    }
-
-    #[test]
-    fn restricted_submodel_remaps_ids() {
-        let m = model_from(vec![vec![0, 1], vec![2], vec![0, 3]], 4);
-        let (sub, back) = m.restricted(&[BillboardId(2), BillboardId(0)]);
-        assert_eq!(sub.n_billboards(), 2);
-        assert_eq!(sub.n_trajectories(), 4);
-        // back is sorted: [o0, o2].
-        assert_eq!(back, vec![BillboardId(0), BillboardId(2)]);
-        assert_eq!(sub.coverage(BillboardId(0)), m.coverage(BillboardId(0)));
-        assert_eq!(sub.coverage(BillboardId(1)), m.coverage(BillboardId(2)));
-        assert_eq!(sub.supply(), 4);
-    }
-
-    #[test]
-    fn restricted_to_empty_set() {
-        let m = model_from(vec![vec![0]], 1);
-        let (sub, back) = m.restricted(&[]);
-        assert_eq!(sub.n_billboards(), 0);
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate billboard")]
-    fn restricted_rejects_duplicates() {
-        let m = model_from(vec![vec![0]], 1);
-        let _ = m.restricted(&[BillboardId(0), BillboardId(0)]);
     }
 
     #[test]
@@ -1410,12 +1363,10 @@ mod tests {
     }
 
     #[test]
-    fn with_bitmap_budget_builder_and_restriction_propagation() {
+    fn with_bitmap_budget_builder() {
         let m = model_from(vec![vec![0, 1], vec![1, 2], vec![2]], 3).with_bitmap_budget(0);
+        assert_eq!(m.bitmap_budget(), 0);
         assert!(m.coverage_bitmap().is_none());
-        let (sub, _) = m.restricted(&[BillboardId(0), BillboardId(2)]);
-        assert_eq!(sub.bitmap_budget(), 0, "restriction must inherit budget");
-        assert!(sub.coverage_bitmap().is_none());
     }
 
     #[test]

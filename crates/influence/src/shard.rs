@@ -3,8 +3,8 @@
 //! The sharded solve engine assigns every billboard to one spatial shard
 //! (a dense `id -> shard` table built by `mroam_geo::SpatialPartition`).
 //! Trajectories are *not* partitioned — a trip can pass billboards in
-//! several shards — so per-shard sub-models keep the full trajectory id
-//! space (`CoverageModel::restricted` already works that way) and the
+//! several shards — so each shard solves the whole model masked to its
+//! own billboards, over the full trajectory id space, and the
 //! interesting quantity is the overlap: how many trajectories are
 //! covered by billboards of more than one shard. That boundary mass is
 //! exactly what the sharded solve can double-count before its merge

@@ -87,8 +87,9 @@ pub struct MarketSim<'a> {
     /// Per billboard: the day its current contract expires (exclusive), or
     /// `None` when free.
     locked_until: Vec<Option<u32>>,
-    /// Scratch for the per-day free-billboard list, reused across steps so
-    /// the day loop does not allocate a fresh `Vec` per day.
+    /// Scratch for the per-day free-billboard list (the day's
+    /// availability mask), reused across steps so the day loop does not
+    /// allocate a fresh `Vec` per day.
     free_scratch: Vec<BillboardId>,
     /// Spatial sharding for the daily solve; `None` (or one shard) keeps
     /// the single-engine path, bit for bit.
@@ -225,6 +226,11 @@ impl<'a> MarketSim<'a> {
     /// the entry point online drivers (the `mroam-serve` daemon) share with
     /// the offline loop, so a served batch is *the same computation* as an
     /// offline day.
+    ///
+    /// The day solves on the shared model itself, masked to the free
+    /// billboards ([`Instance::with_available`]), so the model's derived
+    /// structures (built once, e.g. by the daemon at boot) serve every
+    /// day and the solution is already in model ids.
     pub fn step_with_proposals(
         &mut self,
         day: u32,
@@ -253,29 +259,21 @@ impl<'a> MarketSim<'a> {
         // &mut/& borrow split, put back after).
         let mut free = std::mem::take(&mut self.free_scratch);
         self.collect_free(&mut free);
-        let (sub_model, back) = self.model.restricted(&free);
-        self.free_scratch = free;
         let advertisers: AdvertiserSet = proposals.iter().map(|p| p.advertiser()).collect();
-        let instance = Instance::new(&sub_model, &advertisers, config.gamma);
+        let instance = Instance::new(self.model, &advertisers, config.gamma).with_available(&free);
         let solution = match &self.shards {
             Some(spec) => {
-                // The spec indexes full-model ids; the day's instance is
-                // over the free sub-model, so restate the table in sub-id
-                // space (the overflow rule keeps post-partition billboards
-                // deterministic too).
-                let sub_assignment: Vec<u32> =
-                    back.iter().map(|b| spec.shard_of(b.index())).collect();
-                let sub_spec = ShardSpec::new(spec.n_shards, sub_assignment);
                 let homes: Vec<Option<u32>> = proposals
                     .iter()
                     .map(|p| p.zone.map(|z| z % spec.n_shards as u32))
                     .collect();
-                let (solution, report) = solve_sharded(&instance, &sub_spec, &homes, solver);
+                let (solution, report) = solve_sharded(&instance, spec, &homes, solver);
                 self.last_shard_report = Some(report);
                 solution
             }
             None => solver.solve(&instance),
         };
+        self.free_scratch = free;
 
         let mut outcomes = Vec::with_capacity(proposals.len());
         for (i, proposal) in proposals.iter().enumerate() {
@@ -295,12 +293,10 @@ impl<'a> MarketSim<'a> {
             // Lock the deployed boards for the contract duration; a
             // contract that outlasts the day clock holds until it ends.
             let expiry = day.saturating_add(proposal.duration_days);
-            let mut billboards = Vec::with_capacity(solution.sets[i].len());
-            for &sub_id in &solution.sets[i] {
-                let physical = back[sub_id.index()];
-                debug_assert!(self.locked_until[physical.index()].is_none());
-                self.locked_until[physical.index()] = Some(expiry);
-                billboards.push(physical);
+            let mut billboards = solution.sets[i].clone();
+            for b in &billboards {
+                debug_assert!(self.locked_until[b.index()].is_none());
+                self.locked_until[b.index()] = Some(expiry);
             }
             billboards.sort_unstable();
             outcomes.push(ProposalOutcome {
@@ -321,7 +317,7 @@ impl<'a> MarketSim<'a> {
 mod tests {
     use super::*;
     use mroam_core::prelude::*;
-    use mroam_core::testutil::disjoint_model;
+    use mroam_core::testutil::{copied_submodel, disjoint_model};
 
     fn generator(supply: u64) -> ProposalGenerator {
         ProposalGenerator {
@@ -670,6 +666,186 @@ mod tests {
         for b in &out.outcomes[1].billboards {
             assert_eq!(spec.shard_of(b.index()), 0, "zone-0 deploy left shard 0");
         }
+    }
+
+    /// The day step as it ran before the availability mask: copy the free
+    /// billboards into a sub-model (restating a shard spec in the copy's
+    /// ids), solve there, map the copy's ids back, and book the day. The
+    /// independent oracle for the masked step.
+    fn reference_step(
+        model: &CoverageModel,
+        locks: &mut LockState,
+        shards: Option<&ShardSpec>,
+        day: u32,
+        proposals: &[Proposal],
+        solver: &(dyn Solver + Sync),
+        gamma: f64,
+    ) -> DayOutcome {
+        for lock in &mut locks.locked_until {
+            if matches!(lock, Some(expiry) if *expiry <= day) {
+                *lock = None;
+            }
+        }
+        let mut record = DayRecord {
+            day,
+            arrived: proposals.len(),
+            total_billboards: model.n_billboards(),
+            ..DayRecord::default()
+        };
+        let mut outcomes = Vec::new();
+        if !proposals.is_empty() {
+            let free: Vec<BillboardId> = (0..model.n_billboards())
+                .filter(|&b| locks.locked_until[b].is_none())
+                .map(BillboardId::from_index)
+                .collect();
+            let copy = copied_submodel(model, &free);
+            let advertisers: AdvertiserSet = proposals.iter().map(|p| p.advertiser()).collect();
+            let instance = Instance::new(&copy, &advertisers, gamma);
+            let solution = match shards {
+                Some(spec) => {
+                    let copy_spec = ShardSpec::new(
+                        spec.n_shards,
+                        free.iter().map(|b| spec.shard_of(b.index())).collect(),
+                    );
+                    let homes: Vec<Option<u32>> = proposals
+                        .iter()
+                        .map(|p| p.zone.map(|z| z % spec.n_shards as u32))
+                        .collect();
+                    solve_sharded(&instance, &copy_spec, &homes, solver).0
+                }
+                None => solver.solve(&instance),
+            };
+            for (i, p) in proposals.iter().enumerate() {
+                let influence = solution.influences[i];
+                let regret = mroam_core::regret(&p.advertiser(), influence, gamma);
+                record.committed += p.payment;
+                let satisfied = influence >= p.demand;
+                let collected = if satisfied {
+                    record.satisfied += 1;
+                    p.payment
+                } else {
+                    (p.payment - regret).max(0.0)
+                };
+                record.collected += collected;
+                record.regret += regret;
+                let expires = day.saturating_add(p.duration_days);
+                let mut billboards: Vec<BillboardId> =
+                    solution.sets[i].iter().map(|b| free[b.index()]).collect();
+                billboards.sort_unstable();
+                for b in &billboards {
+                    locks.locked_until[b.index()] = Some(expires);
+                }
+                outcomes.push(ProposalOutcome {
+                    influence,
+                    satisfied,
+                    collected,
+                    regret,
+                    billboards,
+                    expires,
+                });
+            }
+        }
+        record.locked_billboards = locks.locked_count();
+        DayOutcome { record, outcomes }
+    }
+
+    /// A deterministic city of 40 billboards over 60 trajectories whose
+    /// coverage overlaps, so a day's free set changes every tie-break.
+    fn overlapping_model() -> CoverageModel {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let lists = (0..40u64)
+            .map(|b| {
+                let mut list: Vec<u32> = (0..(b % 6 + 1))
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        (x % 60) as u32
+                    })
+                    .collect();
+                list.sort_unstable();
+                list.dedup();
+                list
+            })
+            .collect();
+        CoverageModel::from_lists(lists, 60)
+    }
+
+    #[test]
+    fn masked_days_match_the_copied_reference_step() {
+        let model = overlapping_model();
+        let g = ProposalGenerator {
+            supply: model.supply(),
+            p_avg: 0.08,
+            arrivals_per_day: (1, 4),
+            duration_days: (1, 3),
+            seed: 11,
+        };
+        let spec = ShardSpec::new(3, (0..40u32).map(|b| (b / 5) % 3).collect());
+        let bls = Bls {
+            restarts: 1,
+            seed: 3,
+            ..Bls::default()
+        };
+        let solvers: [&(dyn Solver + Sync); 3] = [&GGlobal, &GOrder, &bls];
+        for (shards, zoned) in [(None, false), (Some(&spec), false), (Some(&spec), true)] {
+            for solver in solvers {
+                let mut sim = MarketSim::new(&model);
+                sim.set_shards(shards.cloned());
+                let mut locks = sim.lock_state();
+                for day in 0..30 {
+                    let mut batch = g.day_batch(day);
+                    if zoned {
+                        for (i, p) in batch.iter_mut().enumerate() {
+                            p.zone = (i % 2 == 0).then_some(day + i as u32);
+                        }
+                    }
+                    let want = reference_step(&model, &mut locks, shards, day, &batch, solver, 0.5);
+                    let got = sim.step_with_proposals(
+                        day,
+                        &batch,
+                        solver,
+                        MarketConfig {
+                            days: 30,
+                            gamma: 0.5,
+                        },
+                    );
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} day {day}, sharded {}, zoned {zoned}",
+                        solver.name(),
+                        shards.is_some()
+                    );
+                    assert_eq!(sim.lock_state(), locks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_day_with_everything_locked_assigns_nothing() {
+        let model = disjoint_model(&[5, 5, 5]);
+        let mut sim = MarketSim::with_lock_state(
+            &model,
+            LockState {
+                locked_until: vec![Some(10); 3],
+            },
+        );
+        let batch = [Proposal {
+            demand: 5,
+            payment: 5.0,
+            duration_days: 1,
+            zone: None,
+        }];
+        let cfg = MarketConfig {
+            days: 2,
+            gamma: 0.5,
+        };
+        let out = sim.step_with_proposals(1, &batch, &Bls::default(), cfg);
+        assert!(out.outcomes[0].billboards.is_empty());
+        assert_eq!(out.outcomes[0].influence, 0);
+        assert_eq!(out.record.locked_billboards, 3);
     }
 
     #[test]
