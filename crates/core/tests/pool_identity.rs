@@ -6,10 +6,11 @@
 //! matrix cannot vary it in-process: the parent test re-executes this
 //! same test binary once per width with `RAYON_NUM_THREADS` set and a
 //! child marker in the environment, and compares the `DIGEST` lines the
-//! children print. The child runs the full nested stack — parallel
-//! restart portfolios over partitioned pick-round scans and parallel
-//! move scans — on a disjoint-coverage fixture large enough to cross
-//! every parallel-dispatch threshold.
+//! children print. The child runs the full nested stack — ALS/BLS
+//! restart portfolios on the pool over `MoveEngine`'s parallel cross- and
+//! free-swap scans — on a disjoint-coverage fixture large enough to cross
+//! the move scans' parallel-dispatch threshold. G-Global's pick scans are
+//! sequential at every width.
 
 use mroam_core::prelude::*;
 use mroam_influence::CoverageModel;
@@ -21,7 +22,7 @@ const CHILD_ENV: &str = "MROAM_POOL_IDENTITY_CHILD";
 /// unit suites): billboard `k` covers its own private block of
 /// trajectories, sized by a little deterministic LCG so influences vary.
 /// 600 billboards comfortably exceeds the 256-candidate parallel-scan
-/// threshold, so the sharded pick rounds and parallel move scans engage.
+/// threshold (`moves::PAR_SCAN_MIN`), so the parallel move scans engage.
 fn fixture_model() -> CoverageModel {
     let n_b = 600usize;
     let mut lists = Vec::with_capacity(n_b);

@@ -5,16 +5,13 @@
 //! zero-copy view into a shared read-only [`Mmap`](crate::mmap::Mmap).
 //! Every reader sees a `&[T]` through `Deref`, so swapping a heap column
 //! for a mapped one changes *where the bytes live*, never what any query
-//! returns. Mutation goes through [`Col::make_owned`], which promotes a
-//! mapped column to a heap copy first (copy-on-write at column
-//! granularity — the ingestion paths that append are exactly the paths
-//! that should own their data).
+//! returns. Columns are read-only: the coverage model's CSR sections, the
+//! only mapped columns, are never mutated after they load.
 //!
 //! The on-disk representation of a column is its records back to back in
 //! little-endian byte order at an 8-byte-aligned offset; the helpers at
-//! the bottom ([`put_pod_section`], [`read_pod_vec`], [`align8`]) are
-//! shared by the trajectory columnar file and the influence crate's
-//! model file sections so both formats stay layout-compatible.
+//! the bottom ([`put_pod_section`], [`read_pod_vec`], [`align8`]) write
+//! and read the influence crate's model file sections.
 
 #[cfg(feature = "mmap")]
 use crate::mmap::Mmap;
@@ -37,10 +34,7 @@ pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 unsafe impl Pod for u8 {}
 unsafe impl Pod for u32 {}
 unsafe impl Pod for u64 {}
-unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
-// `Point` is `repr(C)` with two `f64` fields: 16 bytes, no padding.
-unsafe impl Pod for mroam_geo::Point {}
 
 /// A typed column: heap-owned or a view into a shared memory mapping.
 pub struct Col<T: Pod> {
@@ -109,20 +103,6 @@ impl<T: Pod> Col<T> {
                     )
                 }
             }
-        }
-    }
-
-    /// Mutable access, promoting a mapped column to an owned heap copy
-    /// first (copy-on-write).
-    pub fn make_owned(&mut self) -> &mut Vec<T> {
-        #[cfg(feature = "mmap")]
-        if let Inner::Mapped { .. } = self.inner {
-            self.inner = Inner::Owned(self.as_slice().to_vec());
-        }
-        match &mut self.inner {
-            Inner::Owned(v) => v,
-            #[cfg(feature = "mmap")]
-            Inner::Mapped { .. } => unreachable!("promoted above"),
         }
     }
 
@@ -264,54 +244,19 @@ pub fn read_pod_vec<T: Pod>(bytes: &[u8], n: usize) -> Option<(Vec<T>, usize)> {
     Some((v, total))
 }
 
-/// FxHash-style checksum over a byte payload, used as the integrity
-/// trailer of the columnar trajectory file. (Same construction as the
-/// influence crate's `FxHasher`; duplicated here because the dependency
-/// points the other way.)
-pub fn fx_checksum(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    // Seed with the length so zero padding of different sizes can't
-    // collide at 0.
-    let mut hash = (bytes.len() as u64).wrapping_mul(K);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let word = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        hash = (hash.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mroam_geo::Point;
-
-    #[test]
-    fn owned_roundtrip_and_cow() {
-        let mut c: Col<u32> = vec![1, 2, 3].into();
-        assert_eq!(&*c, &[1, 2, 3]);
-        assert!(!c.is_mapped());
-        c.make_owned().push(4);
-        assert_eq!(&*c, &[1, 2, 3, 4]);
-        assert!(c.heap_bytes() >= 16);
-        assert_eq!(c.mapped_bytes(), 0);
-    }
 
     #[test]
     fn pod_section_roundtrip() {
-        let pts = vec![Point::new(1.5, -2.5), Point::new(0.0, 1e9)];
+        let vals = vec![1.5f64, -2.5, 0.0, 1e9];
         let mut out = Vec::new();
         align8(&mut out);
-        put_pod_section(&mut out, &pts);
-        let (back, used) = read_pod_vec::<Point>(&out, 2).unwrap();
+        put_pod_section(&mut out, &vals);
+        let (back, used) = read_pod_vec::<f64>(&out, 4).unwrap();
         assert_eq!(used, 32);
-        assert_eq!(back, pts);
+        assert_eq!(back, vals);
     }
 
     #[test]
@@ -324,17 +269,9 @@ mod tests {
         assert_eq!(used, 16);
     }
 
-    #[test]
-    fn fx_checksum_is_content_sensitive() {
-        let a = fx_checksum(b"hello world");
-        assert_eq!(a, fx_checksum(b"hello world"));
-        assert_ne!(a, fx_checksum(b"hello worle"));
-        assert_ne!(fx_checksum(&[0u8; 8]), fx_checksum(&[0u8; 9]));
-    }
-
     #[cfg(feature = "mmap")]
     #[test]
-    fn mapped_view_equals_heap_and_promotes() {
+    fn mapped_view_equals_heap() {
         use std::io::Write;
         let path = std::env::temp_dir().join(format!("mroam_col_test_{}", std::process::id()));
         let vals: Vec<u64> = (0..100).map(|i| i * 7).collect();
@@ -345,18 +282,17 @@ mod tests {
             .write_all(&bytes)
             .unwrap();
         let map = Mmap::open(&path).unwrap();
-        let mut col = Col::<u64>::mapped(map, 0, 100);
+        let col = Col::<u64>::mapped(map, 0, 100);
         assert!(col.is_mapped());
         assert_eq!(col.mapped_bytes(), 800);
         assert_eq!(col.heap_bytes(), 0);
         let heap: Col<u64> = vals.clone().into();
+        assert!(!heap.is_mapped());
+        assert_eq!(heap.mapped_bytes(), 0);
         assert_eq!(col, heap);
-        // A cheap clone shares the mapping; promotion owns the bytes.
+        // A cheap clone shares the mapping.
         let view = col.clone();
         assert!(view.is_mapped());
-        col.make_owned().push(999);
-        assert!(!col.is_mapped());
-        assert_eq!(col[100], 999);
         assert_eq!(&*view, &vals[..]);
         let _ = std::fs::remove_file(&path);
     }

@@ -6,8 +6,9 @@
 //!
 //! * typed ids ([`BillboardId`], [`TrajectoryId`], [`AdvertiserId`]) so the
 //!   three id spaces can never be confused,
-//! * [`TrajectoryStore`] — a columnar, offset-indexed point store with
-//!   per-point timestamps (needed for Table 5's average travel time),
+//! * [`TrajectoryStore`] — an in-memory columnar, offset-indexed point
+//!   store with per-point timestamps (needed for Table 5's average travel
+//!   time); it has no file format of its own, CSV is its interchange,
 //! * [`BillboardStore`] — billboard locations plus the influence-proportional
 //!   rental cost `o.w = ⌊τ·I(o)/10⌋` from Section 7.1.2,
 //! * CSV interchange ([`csv`]) for both stores, and

@@ -1,17 +1,17 @@
 //! Read-only memory mappings (the `mmap` cargo feature).
 //!
-//! The scale layer keeps multi-gigabyte columns (trajectory points, the
-//! coverage CSRs) on disk and maps them instead of reading them into
-//! anonymous heap memory: the kernel pages data in on demand and can evict
-//! it under pressure, so a city larger than RAM still loads. The vendored
+//! The scale layer keeps multi-gigabyte columns (the coverage model's
+//! CSRs) on disk and maps them instead of reading them into anonymous
+//! heap memory: the kernel pages data in on demand and can evict it under
+//! pressure, so a model larger than RAM still loads. The vendored
 //! dependency set has no `memmap2`, and `std` already links `libc` on every
 //! supported target, so this is a direct `extern "C"` binding to the two
 //! calls we need (`mmap`/`munmap`) plus a safe owner type.
 //!
-//! Only *private read-only* mappings are offered — the columnar files are
-//! immutable once written, every mutation path in the stores goes through
-//! copy-on-write [`Col`](crate::col::Col) promotion, and a `MAP_PRIVATE`
-//! read-only mapping can never write back to the file.
+//! Only *private read-only* mappings are offered — model files are
+//! immutable once written, a mapped [`Col`](crate::col::Col) is never
+//! mutated, and a `MAP_PRIVATE` read-only mapping can never write back to
+//! the file.
 
 use std::fs::File;
 use std::io;

@@ -4,18 +4,13 @@
 //! index (the classic arrow/CSR layout), so iterating millions of points for
 //! the meets computation is a linear scan with no per-trajectory allocation.
 //! A parallel per-point timestamp column (seconds from trip start) supports
-//! the Table 5 "AvgTravelTime" statistic.
+//! the Table 5 "AvgTravelTime" statistic. The store lives in memory only;
+//! CSV ([`crate::csv`]) is its interchange format.
 
-use crate::col::{self, Col};
 use crate::ids::TrajectoryId;
 use mroam_geo::{Point, Polyline};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Columnar file magic.
-pub const TRAJ_MAGIC: &[u8; 8] = b"MROAMTRJ";
-/// Columnar file format version.
-pub const TRAJ_VERSION: u64 = 1;
 
 /// Errors from appending to a [`TrajectoryStore`].
 ///
@@ -46,19 +41,14 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// A columnar store of trajectories.
-///
-/// Columns are [`Col`]s: heap-owned when built by ingestion, zero-copy
-/// mapped views when loaded from a columnar file with
-/// [`open_columnar_mmap`](Self::open_columnar_mmap). Appending to a mapped
-/// store transparently promotes the columns to heap copies.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrajectoryStore {
     /// Flat point column; trajectory `i` owns `points[offsets[i]..offsets[i+1]]`.
-    points: Col<Point>,
+    points: Vec<Point>,
     /// Seconds from trip start, parallel to `points`.
-    timestamps: Col<f32>,
+    timestamps: Vec<f32>,
     /// CSR offsets, length = number of trajectories + 1.
-    offsets: Col<u32>,
+    offsets: Vec<u32>,
 }
 
 /// A borrowed view of one trajectory.
@@ -92,9 +82,9 @@ impl TrajectoryStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self {
-            points: Col::new(),
-            timestamps: Col::new(),
-            offsets: vec![0u32].into(),
+            points: Vec::new(),
+            timestamps: Vec::new(),
+            offsets: vec![0u32],
         }
     }
 
@@ -105,9 +95,9 @@ impl TrajectoryStore {
         let mut offsets = Vec::with_capacity(n_trajectories + 1);
         offsets.push(0);
         Self {
-            points: Vec::with_capacity(pts).into(),
-            timestamps: Vec::with_capacity(pts).into(),
-            offsets: offsets.into(),
+            points: Vec::with_capacity(pts),
+            timestamps: Vec::with_capacity(pts),
+            offsets,
         }
     }
 
@@ -129,9 +119,9 @@ impl TrajectoryStore {
         let needed = self.points.len() + points.len();
         let end = u32::try_from(needed).map_err(|_| StoreError::PointColumnOverflow { needed })?;
         let id = TrajectoryId::from_index(self.len());
-        self.points.make_owned().extend_from_slice(points);
-        self.timestamps.make_owned().extend_from_slice(timestamps);
-        self.offsets.make_owned().push(end);
+        self.points.extend_from_slice(points);
+        self.timestamps.extend_from_slice(timestamps);
+        self.offsets.push(end);
         Ok(id)
     }
 
@@ -150,8 +140,8 @@ impl TrajectoryStore {
         let needed = self.points.len() + points.len();
         let end = u32::try_from(needed).map_err(|_| StoreError::PointColumnOverflow { needed })?;
         let id = TrajectoryId::from_index(self.len());
-        self.points.make_owned().extend_from_slice(points);
-        let ts = self.timestamps.make_owned();
+        self.points.extend_from_slice(points);
+        let ts = &mut self.timestamps;
         ts.reserve(points.len());
         ts.push(0.0f32);
         let mut acc = 0.0f64;
@@ -159,7 +149,7 @@ impl TrajectoryStore {
             acc += w[0].distance(&w[1]) / speed_mps;
             ts.push(acc as f32);
         }
-        self.offsets.make_owned().push(end);
+        self.offsets.push(end);
         Ok(id)
     }
 
@@ -221,208 +211,13 @@ impl TrajectoryStore {
         &self.offsets
     }
 
-    /// Whether any column is a zero-copy view into a memory-mapped file.
-    pub fn is_mapped(&self) -> bool {
-        self.points.is_mapped() || self.timestamps.is_mapped() || self.offsets.is_mapped()
-    }
-
-    /// Anonymous heap bytes held by the columns (capacity, not length).
+    /// Heap bytes held by the columns (capacity, not length).
     pub fn heap_bytes(&self) -> usize {
-        self.points.heap_bytes() + self.timestamps.heap_bytes() + self.offsets.heap_bytes()
-    }
-
-    /// Bytes viewed through file mappings.
-    pub fn mapped_bytes(&self) -> usize {
-        self.points.mapped_bytes() + self.timestamps.mapped_bytes() + self.offsets.mapped_bytes()
-    }
-
-    /// Serialises the store in the columnar file format (appended to
-    /// `out`):
-    ///
-    /// ```text
-    /// magic    b"MROAMTRJ"                  (8 bytes)
-    /// version  u64 LE = 1
-    /// n_traj   u64 LE,  n_points u64 LE
-    /// offsets  (n_traj + 1) × u32 LE        (pad to 8)
-    /// points   n_points × Point (2 × f64 LE)
-    /// stamps   n_points × f32 LE            (pad to 8)
-    /// checksum u64 LE  (fx_checksum of everything after the magic)
-    /// ```
-    ///
-    /// Every section starts 8-aligned, so [`open_columnar_mmap`]
-    /// (`Self::open_columnar_mmap`) can hand out zero-copy views.
-    pub fn write_columnar(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(TRAJ_MAGIC);
-        let payload_start = out.len();
-        out.extend_from_slice(&TRAJ_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.points.len() as u64).to_le_bytes());
-        col::put_pod_section(out, &self.offsets);
-        col::align8(out);
-        col::put_pod_section(out, &self.points);
-        col::put_pod_section(out, &self.timestamps);
-        col::align8(out);
-        let sum = col::fx_checksum(&out[payload_start..]);
-        out.extend_from_slice(&sum.to_le_bytes());
-    }
-
-    /// Writes the columnar format to `path` (atomic enough for a cache:
-    /// full buffer, single write).
-    pub fn save_columnar(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut out = Vec::new();
-        self.write_columnar(&mut out);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, out)
-    }
-
-    /// Decodes a columnar buffer into an owned (heap) store. Works on any
-    /// byte slice; the copy is alignment-safe.
-    pub fn read_columnar(data: &[u8]) -> Result<Self, ColumnarError> {
-        let (n_traj, n_points, sections) = Self::columnar_header(data)?;
-        let mut cursor = 0usize;
-        let body = &data[sections.start..];
-        let (offsets, used) =
-            col::read_pod_vec::<u32>(body, n_traj + 1).ok_or(ColumnarError::Truncated)?;
-        cursor += used;
-        cursor = cursor.div_ceil(8) * 8;
-        let (points, used) = col::read_pod_vec::<Point>(
-            body.get(cursor..).ok_or(ColumnarError::Truncated)?,
-            n_points,
-        )
-        .ok_or(ColumnarError::Truncated)?;
-        cursor += used;
-        let (timestamps, _) = col::read_pod_vec::<f32>(
-            body.get(cursor..).ok_or(ColumnarError::Truncated)?,
-            n_points,
-        )
-        .ok_or(ColumnarError::Truncated)?;
-        let store = Self {
-            points: points.into(),
-            timestamps: timestamps.into(),
-            offsets: offsets.into(),
-        };
-        store.validate_columnar(n_points)?;
-        Ok(store)
-    }
-
-    /// Maps the columnar file at `path` and returns a store whose columns
-    /// are zero-copy views into the mapping — identical read semantics to
-    /// [`read_columnar`](Self::read_columnar) (property-tested), but the
-    /// resident set is paged in on demand and evictable, so stores larger
-    /// than RAM open. The checksum is verified up front (one streaming
-    /// pass; pages are immediately evictable again).
-    #[cfg(feature = "mmap")]
-    pub fn open_columnar_mmap(path: &std::path::Path) -> Result<Self, ColumnarError> {
-        let map = crate::mmap::Mmap::open(path).map_err(|e| ColumnarError::Io(e.kind()))?;
-        let (n_traj, n_points, sections) = Self::columnar_header(&map)?;
-        let mut at = sections.start;
-        let offsets = Col::mapped(std::sync::Arc::clone(&map), at, n_traj + 1);
-        at += (n_traj + 1) * std::mem::size_of::<u32>();
-        at = at.div_ceil(8) * 8;
-        let points = Col::mapped(std::sync::Arc::clone(&map), at, n_points);
-        at += n_points * std::mem::size_of::<Point>();
-        let timestamps = Col::mapped(map, at, n_points);
-        let store = Self {
-            points,
-            timestamps,
-            offsets,
-        };
-        store.validate_columnar(n_points)?;
-        Ok(store)
-    }
-
-    /// Validates a columnar header + checksum and returns
-    /// `(n_traj, n_points, payload byte range of the first section)`.
-    fn columnar_header(
-        data: &[u8],
-    ) -> Result<(usize, usize, std::ops::Range<usize>), ColumnarError> {
-        if data.len() < TRAJ_MAGIC.len() + 3 * 8 + 8 {
-            return Err(
-                if data.len() >= TRAJ_MAGIC.len() && &data[..8] != TRAJ_MAGIC {
-                    ColumnarError::BadMagic
-                } else {
-                    ColumnarError::Truncated
-                },
-            );
-        }
-        if &data[..8] != TRAJ_MAGIC {
-            return Err(ColumnarError::BadMagic);
-        }
-        let payload = &data[8..data.len() - 8];
-        let stored = u64::from_le_bytes(data[data.len() - 8..].try_into().expect("8 bytes"));
-        if col::fx_checksum(payload) != stored {
-            return Err(ColumnarError::ChecksumMismatch);
-        }
-        let word =
-            |i: usize| u64::from_le_bytes(data[8 + 8 * i..16 + 8 * i].try_into().expect("8 bytes"));
-        let version = word(0);
-        if version != TRAJ_VERSION {
-            return Err(ColumnarError::BadVersion(version));
-        }
-        let n_traj = usize::try_from(word(1)).map_err(|_| ColumnarError::Truncated)?;
-        let n_points = usize::try_from(word(2)).map_err(|_| ColumnarError::Truncated)?;
-        let start = 8 + 3 * 8;
-        // The three sections plus padding must fit before the trailer.
-        let offs_bytes = (n_traj + 1) * 4;
-        let need = (offs_bytes.div_ceil(8) * 8) + n_points * 16 + (n_points * 4).div_ceil(8) * 8;
-        if payload.len() < start - 8 + need {
-            return Err(ColumnarError::Truncated);
-        }
-        Ok((n_traj, n_points, start..data.len() - 8))
-    }
-
-    /// Structural invariants the columns must satisfy regardless of where
-    /// their bytes live.
-    fn validate_columnar(&self, n_points: usize) -> Result<(), ColumnarError> {
-        let offs = self.offsets();
-        if offs.first() != Some(&0) {
-            return Err(ColumnarError::Inconsistent("offsets must start at 0"));
-        }
-        if offs.windows(2).any(|w| w[0] > w[1]) {
-            return Err(ColumnarError::Inconsistent("offsets must be monotone"));
-        }
-        if offs.last().copied().unwrap_or(0) as usize != n_points {
-            return Err(ColumnarError::Inconsistent(
-                "last offset must equal the point count",
-            ));
-        }
-        Ok(())
+        self.points.capacity() * std::mem::size_of::<Point>()
+            + self.timestamps.capacity() * std::mem::size_of::<f32>()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
     }
 }
-
-/// Errors decoding a columnar trajectory file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnarError {
-    /// The magic bytes did not match.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion(u64),
-    /// Input ended before the sections were complete.
-    Truncated,
-    /// The payload checksum did not match.
-    ChecksumMismatch,
-    /// The decoded columns violate a structural invariant.
-    Inconsistent(&'static str),
-    /// The file could not be opened or mapped.
-    Io(std::io::ErrorKind),
-}
-
-impl fmt::Display for ColumnarError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ColumnarError::BadMagic => write!(f, "not a MROAM trajectory file (bad magic)"),
-            ColumnarError::BadVersion(v) => write!(f, "unsupported trajectory format version {v}"),
-            ColumnarError::Truncated => write!(f, "truncated trajectory file"),
-            ColumnarError::ChecksumMismatch => write!(f, "trajectory payload checksum mismatch"),
-            ColumnarError::Inconsistent(what) => write!(f, "inconsistent trajectory file: {what}"),
-            ColumnarError::Io(kind) => write!(f, "cannot open trajectory file: {kind}"),
-        }
-    }
-}
-
-impl std::error::Error for ColumnarError {}
 
 #[cfg(test)]
 mod tests {
@@ -499,117 +294,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         TrajectoryStore::new().get(TrajectoryId(0));
-    }
-
-    fn sample_store() -> TrajectoryStore {
-        let mut store = TrajectoryStore::new();
-        store
-            .push_with_timestamps(&pts(&[(0.0, 0.0), (1.5, -2.0)]), &[0.0, 12.5])
-            .unwrap();
-        store
-            .push_at_speed(&pts(&[(5.0, 5.0), (5.0, 105.0), (105.0, 105.0)]), 10.0)
-            .unwrap();
-        store
-            .push_with_timestamps(&pts(&[(-3.25, 7.75)]), &[0.0])
-            .unwrap();
-        store
-    }
-
-    fn assert_stores_equal(a: &TrajectoryStore, b: &TrajectoryStore) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.offsets(), b.offsets());
-        assert_eq!(a.point_column(), b.point_column());
-        assert_eq!(a.timestamp_column(), b.timestamp_column());
-    }
-
-    #[test]
-    fn columnar_roundtrip_heap() {
-        let store = sample_store();
-        let mut bytes = Vec::new();
-        store.write_columnar(&mut bytes);
-        let back = TrajectoryStore::read_columnar(&bytes).unwrap();
-        assert_stores_equal(&store, &back);
-        assert!(!back.is_mapped());
-        assert!(back.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn columnar_roundtrip_empty_store() {
-        let store = TrajectoryStore::new();
-        let mut bytes = Vec::new();
-        store.write_columnar(&mut bytes);
-        let back = TrajectoryStore::read_columnar(&bytes).unwrap();
-        assert_eq!(back.len(), 0);
-        assert_eq!(back.total_points(), 0);
-    }
-
-    #[test]
-    fn columnar_corruption_detected() {
-        let store = sample_store();
-        let mut bytes = Vec::new();
-        store.write_columnar(&mut bytes);
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(
-            TrajectoryStore::read_columnar(&bad).unwrap_err(),
-            ColumnarError::BadMagic
-        );
-        let mut bad = bytes.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x10;
-        assert_eq!(
-            TrajectoryStore::read_columnar(&bad).unwrap_err(),
-            ColumnarError::ChecksumMismatch
-        );
-        for cut in [0usize, 7, 20, bytes.len() - 9] {
-            assert!(
-                TrajectoryStore::read_columnar(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn columnar_mmap_matches_heap_and_promotes_on_push() {
-        let path =
-            std::env::temp_dir().join(format!("mroam_trajcol_test_{}.trj", std::process::id()));
-        let store = sample_store();
-        store.save_columnar(&path).unwrap();
-
-        let mut mapped = TrajectoryStore::open_columnar_mmap(&path).unwrap();
-        assert!(mapped.is_mapped());
-        assert_eq!(mapped.heap_bytes(), 0);
-        assert!(mapped.mapped_bytes() > 0);
-        assert_stores_equal(&store, &mapped);
-        // Per-trajectory views agree too (not just whole columns).
-        for (a, b) in store.iter().zip(mapped.iter()) {
-            assert_eq!(a.points, b.points);
-            assert_eq!(a.timestamps, b.timestamps);
-            assert_eq!(a.travel_time(), b.travel_time());
-        }
-
-        // Appending promotes to heap copies without disturbing the data.
-        mapped
-            .push_at_speed(&pts(&[(9.0, 9.0), (9.0, 10.0)]), 1.0)
-            .unwrap();
-        assert!(!mapped.is_mapped());
-        assert_eq!(mapped.len(), store.len() + 1);
-        assert_eq!(
-            &mapped.point_column()[..store.total_points()],
-            store.point_column()
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn columnar_mmap_missing_file_is_io_error() {
-        let path = std::env::temp_dir().join("mroam_trajcol_never_written.trj");
-        assert!(matches!(
-            TrajectoryStore::open_columnar_mmap(&path),
-            Err(ColumnarError::Io(_))
-        ));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!                [--date YYYY-MM-DD] [--out results/BENCH_durability.json]
 //! ```
 //!
-//! Three axes, all over the same deterministic served-day workload (NYC
-//! test scale, G-Global, one `RunDay` record per day, periodic snapshot
-//! + mark + prune exactly as the serve command loop does):
+//! Three axes, all over the same deterministic served-day workload (a
+//! stream engine over the NYC test city, as the daemon serves it;
+//! G-Global, one `RunDay` record per day, periodic snapshot + mark +
+//! prune exactly as the serve command loop does):
 //!
 //! * **append overhead** — wall time of `--days` days with no WAL vs
 //!   WAL'd under each fsync policy (`record`, `batch`, `interval:5ms`).
@@ -34,6 +35,7 @@ use mroam_experiments::{params, Args};
 use mroam_influence::CoverageModel;
 use mroam_market::host::{Host, HostConfig};
 use mroam_market::{DayRecord, ProposalGenerator};
+use mroam_stream::StreamEngine;
 use mroam_wal::state::{encode, list_snapshots, write_snapshot_file};
 use mroam_wal::testutil::TempDir;
 use mroam_wal::{recover, SyncPolicy, WalOptions, WalRecord, WalWriter};
@@ -56,20 +58,21 @@ fn generator(model: &CoverageModel, seed: u64) -> ProposalGenerator {
     }
 }
 
-/// One served life: `days` days against a fresh host, WAL'd under
-/// `policy` (serve-equivalent: genesis snapshot, log-before-apply,
-/// periodic snapshot + mark + prune) or unlogged when `policy` is
-/// `None`. Returns the final ledger and the WAL's fsync count.
+/// One served life: `days` days against a fresh host on the engine's
+/// base, WAL'd under `policy` into `dir` (serve-equivalent: genesis
+/// snapshot, log-before-apply, periodic snapshot + mark + prune) or
+/// unlogged when `dir` is `None`. Returns the final ledger and the WAL's
+/// fsync count.
 fn run_days(
     dir: Option<&Path>,
-    model: &CoverageModel,
+    engine: &StreamEngine,
     days: u32,
     snapshot_every: u32,
     seed: u64,
     policy: SyncPolicy,
 ) -> (Vec<DayRecord>, u64) {
-    let g = generator(model, seed);
-    let mut host = Host::new(model, host_config(seed));
+    let g = generator(engine.model(), seed);
+    let mut host = Host::new(engine.model(), host_config(seed));
     let mut wal = dir.map(|dir| {
         let wal = WalWriter::open(
             dir,
@@ -79,7 +82,7 @@ fn run_days(
             },
         )
         .expect("open wal");
-        write_snapshot_file(dir, 0, &encode(&host, None)).expect("genesis snapshot");
+        write_snapshot_file(dir, 0, &encode(&host, Some(engine))).expect("genesis snapshot");
         wal
     });
     let mut since_snap = 0u32;
@@ -102,7 +105,8 @@ fn run_days(
                 let dir = dir.unwrap();
                 wal.sync().expect("pre-snapshot sync");
                 let watermark = wal.next_seq() - 1;
-                write_snapshot_file(dir, watermark, &encode(&host, None)).expect("snapshot");
+                write_snapshot_file(dir, watermark, &encode(&host, Some(engine)))
+                    .expect("snapshot");
                 wal.append(&WalRecord::SnapshotMark {
                     wal_seq: watermark,
                     day: host.day(),
@@ -135,11 +139,11 @@ fn main() {
     let seed = 42u64;
 
     let city = build_city(CityKind::Nyc, Scale::Test);
-    let model = city.coverage(params::DEFAULT_LAMBDA);
+    let engine = StreamEngine::new(city.billboards, city.trajectories, params::DEFAULT_LAMBDA);
     eprintln!(
         "[exp_durability] {} billboards, {} trajectories, {days} days, {iters} iters",
-        model.n_billboards(),
-        model.n_trajectories()
+        engine.model().n_billboards(),
+        engine.model().n_trajectories()
     );
 
     let policies: [(&str, SyncPolicy); 3] = [
@@ -154,7 +158,7 @@ fn main() {
     // ---- correctness gates (before any timing) -----------------------
     let (baseline_ledger, _) = run_days(
         None,
-        &model,
+        &engine,
         days,
         snapshot_every,
         seed,
@@ -162,8 +166,14 @@ fn main() {
     );
     for (name, policy) in policies {
         let dir = TempDir::new(&format!("durability-gate-{name}"));
-        let (ledger, fsyncs) =
-            run_days(Some(dir.path()), &model, days, snapshot_every, seed, policy);
+        let (ledger, fsyncs) = run_days(
+            Some(dir.path()),
+            &engine,
+            days,
+            snapshot_every,
+            seed,
+            policy,
+        );
         assert_eq!(
             ledger, baseline_ledger,
             "{name}: WAL'd run diverges from unlogged run"
@@ -190,7 +200,7 @@ fn main() {
     let no_wal_mean = time_mean(iters, || {
         run_days(
             None,
-            &model,
+            &engine,
             days,
             snapshot_every,
             seed,
@@ -202,7 +212,14 @@ fn main() {
     for (name, policy) in policies {
         let mean = time_mean(iters, || {
             let dir = TempDir::new(&format!("durability-{name}"));
-            run_days(Some(dir.path()), &model, days, snapshot_every, seed, policy)
+            run_days(
+                Some(dir.path()),
+                &engine,
+                days,
+                snapshot_every,
+                seed,
+                policy,
+            )
         });
         rows.push((format!("append/wal_{name}/{days}_days"), mean));
         rows.push((
@@ -214,7 +231,14 @@ fn main() {
             (mean / no_wal_mean - 1.0) * 100.0,
         ));
         let dir = TempDir::new(&format!("durability-count-{name}"));
-        let (_, fsyncs) = run_days(Some(dir.path()), &model, days, snapshot_every, seed, policy);
+        let (_, fsyncs) = run_days(
+            Some(dir.path()),
+            &engine,
+            days,
+            snapshot_every,
+            seed,
+            policy,
+        );
         fsync_counts.push((name.to_string(), fsyncs));
     }
 
@@ -224,7 +248,7 @@ fn main() {
     let steady = TempDir::new("durability-recover-steady");
     run_days(
         Some(steady.path()),
-        &model,
+        &engine,
         days,
         snapshot_every,
         seed,
@@ -238,7 +262,7 @@ fn main() {
     let genesis = TempDir::new("durability-recover-genesis");
     run_days(
         Some(genesis.path()),
-        &model,
+        &engine,
         days,
         days + 1, // never snapshot mid-life
         seed,

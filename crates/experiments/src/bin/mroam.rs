@@ -511,11 +511,7 @@ fn print_memory_breakdown(
     let billboard_bytes = billboards.len()
         * (std::mem::size_of::<mroam_geo::Point>() + 8 * usize::from(billboards.has_costs()));
     let rows: [(&str, usize, usize); 6] = [
-        (
-            "trajectory store",
-            trajectories.heap_bytes(),
-            trajectories.mapped_bytes(),
-        ),
+        ("trajectory store", trajectories.heap_bytes(), 0),
         ("billboard store", billboard_bytes, 0),
         ("coverage lists", m.lists_heap_bytes, m.lists_mapped_bytes),
         (
@@ -706,12 +702,13 @@ fn print_wal_inspection(dir: &Path) {
                     .and_then(|doc| mroam_wal::state::decode(&doc))
                     .map(|r| {
                         format!(
-                            "ok: day {}, {} billboards{}",
+                            "ok: day {}, {} billboards, epoch {}",
                             r.seed.day,
                             r.model.n_billboards(),
                             r.stream
                                 .as_ref()
-                                .map_or(String::new(), |s| format!(", epoch {}", s.epoch))
+                                .expect("a decoded snapshot always carries its stream section")
+                                .epoch
                         )
                     })
                     .unwrap_or_else(|e| format!("BAD: {e}"));

@@ -13,7 +13,6 @@
 use crate::{DayOutcome, Ledger, LockState, MarketConfig, MarketSim, Proposal};
 use mroam_core::shard::{ShardReport, ShardSpec};
 use mroam_core::solver::{Solver, SolverSpec};
-use mroam_data::BillboardId;
 use mroam_influence::CoverageModel;
 
 /// Host-level configuration: the regret model's γ and the solver to run
@@ -159,21 +158,6 @@ impl<'a> Host<'a> {
         self.day += 1;
         outcome
     }
-
-    /// Influence `I(S)` of a billboard set (full-model ids). `None` when
-    /// any id is out of range.
-    pub fn query_coverage(&self, billboards: &[u32]) -> Option<u64> {
-        if billboards
-            .iter()
-            .any(|&b| b as usize >= self.model.n_billboards())
-        {
-            return None;
-        }
-        Some(
-            self.model
-                .set_influence(billboards.iter().map(|&b| BillboardId(b))),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -258,15 +242,5 @@ mod tests {
         assert_eq!(out.record.arrived, 0);
         assert_eq!(host.day(), 2);
         assert!(host.locked_count() < locked, "day-1 contract must expire");
-    }
-
-    #[test]
-    fn query_coverage_validates_ids() {
-        let model = disjoint_model(&[4, 3]);
-        let host = Host::new(&model, HostConfig::default());
-        assert_eq!(host.query_coverage(&[0]), Some(4));
-        assert_eq!(host.query_coverage(&[0, 1]), Some(7));
-        assert_eq!(host.query_coverage(&[]), Some(0));
-        assert_eq!(host.query_coverage(&[9]), None);
     }
 }

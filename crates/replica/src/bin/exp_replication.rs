@@ -12,10 +12,11 @@
 //!   the per-record policy: fsyncs per append as the submitter count
 //!   grows (the amortization the commit-group latch buys), plus append
 //!   throughput.
-//! * **lag vs ingest rate** — an in-process leader (static NYC test
-//!   model, WAL + replication feed) serves a burst of served days while
-//!   a live follower tails; recorded: burst wall time, the follower's
-//!   convergence time after the burst, and the peak observed seq lag.
+//! * **lag vs ingest rate** — an in-process leader (a stream engine over
+//!   the NYC test city, WAL + replication feed) serves a burst of served
+//!   days while a live follower tails; recorded: burst wall time, the
+//!   follower's convergence time after the burst, and the peak observed
+//!   seq lag.
 //! * **catch-up** — a *fresh* follower attaching to the leader after
 //!   the burst: wall time from connect to the leader's durable horizon
 //!   (snapshot restore + suffix replay), as the follower's own
@@ -37,6 +38,7 @@ use mroam_serve::batch::BatchPolicy;
 use mroam_serve::protocol::Request;
 use mroam_serve::server::{spawn, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::{Client, ReplicationConfig};
+use mroam_stream::StreamEngine;
 use mroam_wal::testutil::TempDir;
 use mroam_wal::{SharedWal, SyncPolicy, WalOptions, WalRecord};
 
@@ -94,7 +96,7 @@ struct Leader {
 fn spawn_leader(snapshot_every: u32) -> Leader {
     let dir = TempDir::new("repl-leader");
     let city = build_city(CityKind::Nyc, Scale::Test);
-    let model = city.coverage(params::DEFAULT_LAMBDA);
+    let engine = StreamEngine::new(city.billboards, city.trajectories, params::DEFAULT_LAMBDA);
     let mut wal = WalConfig::new(dir.path().to_path_buf());
     wal.options.sync = SyncPolicy::PerRecord;
     wal.snapshot_every = snapshot_every;
@@ -109,7 +111,7 @@ fn spawn_leader(snapshot_every: u32) -> Leader {
         wal: Some(wal),
         replication: Some(ReplicationConfig::new("127.0.0.1:0".into())),
     };
-    let handle = spawn(model, None, config, "127.0.0.1:0").expect("spawn leader");
+    let handle = spawn(engine, None, config, "127.0.0.1:0").expect("spawn leader");
     let client = Client::connect(handle.addr()).expect("connect leader");
     Leader {
         handle: Some(handle),

@@ -4,11 +4,10 @@
 //! answering from the replicated [`ReplayWorld`] at whatever
 //! `applied_seq` the tailer has reached:
 //!
-//! * `query_coverage` mirrors the leader's paths exactly — a streaming
-//!   world answers from the engine's merged base+overlay view with
-//!   `free_total` from the serving base's lock state, a static world
-//!   from the model — so a follower at the leader's seq returns
-//!   bit-identical bytes;
+//! * `query_coverage` goes through the leader's own
+//!   [`coverage_response`] (the engine's merged base+overlay view, with
+//!   `free_total` from the serving base's lock state), so a follower at
+//!   the leader's seq returns bit-identical bytes by construction;
 //! * `stats` reports the follower-side `repl_*` fields (`applied_seq`,
 //!   reconnects, snapshots received, catch-up time, the leader's
 //!   durable horizon) alongside the replicated market state;
@@ -22,10 +21,9 @@
 //! lock (reads only; the tailer is the sole writer).
 
 use crate::tailer::{FollowerState, SharedState, Tailer};
-use mroam_data::BillboardId;
+use mroam_serve::coverage_response;
 use mroam_serve::frame::{read_frame, write_frame};
 use mroam_serve::protocol::{Request, Response, StatsReport};
-use mroam_wal::ReplayWorld;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -207,7 +205,12 @@ fn answer(req: Request, state: &SharedState, leader: &str, started: Instant) -> 
             let st = state.lock().expect("follower state");
             match st.world() {
                 None => not_caught_up(id),
-                Some(world) => query_coverage(id, &billboards, world),
+                Some(world) => coverage_response(
+                    id,
+                    &billboards,
+                    world.engine().expect(ALWAYS_STREAMS),
+                    world.lock().locked_count(),
+                ),
             }
         }
         Request::Stats { id } => {
@@ -219,15 +222,11 @@ fn answer(req: Request, state: &SharedState, leader: &str, started: Instant) -> 
         }
         Request::EpochStats { id } => {
             let st = state.lock().expect("follower state");
-            match st.world().and_then(ReplayWorld::engine) {
-                Some(engine) => Response::EpochStats {
+            match st.world() {
+                None => not_caught_up(id),
+                Some(world) => Response::EpochStats {
                     id,
-                    stats: engine.epoch_stats(),
-                },
-                None if st.world().is_none() => not_caught_up(id),
-                None => Response::Error {
-                    id,
-                    message: "streaming disabled: the replicated world is static".into(),
+                    stats: world.engine().expect(ALWAYS_STREAMS).epoch_stats(),
                 },
             }
         }
@@ -244,54 +243,13 @@ fn answer(req: Request, state: &SharedState, leader: &str, started: Instant) -> 
     }
 }
 
+/// Why `ReplayWorld::engine` cannot be `None`.
+const ALWAYS_STREAMS: &str = "a replayed world always holds a stream engine";
+
 fn not_caught_up(id: u64) -> Response {
     Response::Error {
         id,
         message: "follower has no world yet: waiting for the first snapshot".into(),
-    }
-}
-
-/// Mirrors the leader's `query_coverage` dispatch exactly (streaming:
-/// engine's merged view + base lock inventory; static: the model), so
-/// answers at matching seqs are byte-identical.
-fn query_coverage(id: u64, billboards: &[u32], world: &ReplayWorld) -> Response {
-    let free_total = world.serving_model().n_billboards() - world.lock().locked_count();
-    match world.engine() {
-        Some(engine) => {
-            if billboards
-                .iter()
-                .any(|&b| b as usize >= engine.n_billboards())
-            {
-                Response::Error {
-                    id,
-                    message: "billboard id out of range".into(),
-                }
-            } else {
-                Response::Coverage {
-                    id,
-                    influence: engine.set_influence(billboards),
-                    free_total,
-                }
-            }
-        }
-        None => {
-            let model = world.serving_model();
-            if billboards
-                .iter()
-                .any(|&b| b as usize >= model.n_billboards())
-            {
-                Response::Error {
-                    id,
-                    message: "billboard id out of range".into(),
-                }
-            } else {
-                Response::Coverage {
-                    id,
-                    influence: model.set_influence(billboards.iter().map(|&b| BillboardId(b))),
-                    free_total,
-                }
-            }
-        }
     }
 }
 
@@ -311,7 +269,7 @@ fn stats_report(st: &FollowerState, started: Instant) -> StatsReport {
         let locked = world.lock().locked_count();
         report.day = u64::from(world.day());
         report.locked = locked;
-        report.free = world.serving_model().n_billboards() - locked;
+        report.free = world.engine().expect(ALWAYS_STREAMS).model().n_billboards() - locked;
         report.collected = world.ledger().total_collected();
         report.regret = world.ledger().total_regret();
         report.snapshot_epoch = world.epoch();

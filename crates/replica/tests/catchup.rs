@@ -25,11 +25,12 @@
 //! the same head equals the leader.
 
 use mroam_core::solver::SolverSpec;
-use mroam_core::testutil::disjoint_model;
 use mroam_market::host::{Host, HostConfig};
 use mroam_market::ProposalGenerator;
 use mroam_replica::{FollowerState, Session, SharedState};
 use mroam_serve::feed::{spawn_feed, FeedHandle, ReplicationConfig};
+use mroam_stream::testutil::disjoint_engine;
+use mroam_stream::StreamEngine;
 use mroam_wal::state::{encode, list_snapshots, write_snapshot_file};
 use mroam_wal::testutil::TempDir;
 use mroam_wal::{recover, SharedWal, SyncPolicy, WalOptions, WalRecord};
@@ -66,9 +67,11 @@ struct Cadence {
 }
 
 /// Runs `days` more days against the host, appending through the shared
-/// WAL with the serve loop's snapshot + mark + prune cadence.
+/// WAL with the serve loop's snapshot + mark + prune cadence. The host
+/// serves `engine`'s base.
 fn advance(
     host: &mut Host<'_>,
+    engine: &StreamEngine,
     g: &ProposalGenerator,
     wal: &SharedWal,
     dir: &Path,
@@ -88,7 +91,7 @@ fn advance(
         if cadence.since_snap >= cadence.every {
             cadence.since_snap = 0;
             let watermark = wal.next_seq() - 1;
-            write_snapshot_file(dir, watermark, &encode(host, None)).unwrap();
+            write_snapshot_file(dir, watermark, &encode(host, Some(engine))).unwrap();
             wal.append(&WalRecord::SnapshotMark {
                 wal_seq: watermark,
                 day: host.day(),
@@ -178,9 +181,9 @@ proptest! {
         hard_prune in any::<bool>(),
     ) {
         let dir = TempDir::new("repl-catchup");
-        let model = disjoint_model(&[9, 8, 7, 6, 5, 4, 3, 2]);
-        let g = generator(model.supply(), seed);
-        let mut host = Host::new(&model, config(seed));
+        let engine = disjoint_engine(&[9, 8, 7, 6, 5, 4, 3, 2]);
+        let g = generator(engine.model().supply(), seed);
+        let mut host = Host::new(engine.model(), config(seed));
         let wal = Arc::new(
             SharedWal::open(
                 dir.path(),
@@ -191,9 +194,9 @@ proptest! {
             )
             .unwrap(),
         );
-        write_snapshot_file(dir.path(), 0, &encode(&host, None)).unwrap();
+        write_snapshot_file(dir.path(), 0, &encode(&host, Some(&engine))).unwrap();
         let mut cadence = Cadence { every: snapshot_every, since_snap: 0, last_snap: 0 };
-        advance(&mut host, &g, &wal, dir.path(), days, &mut cadence);
+        advance(&mut host, &engine, &g, &wal, dir.path(), days, &mut cadence);
 
         let (feed, stopping) = spawn_test_feed(dir.path(), &wal);
         let state = FollowerState::new();
@@ -216,11 +219,11 @@ proptest! {
         // pruning history past the follower's watermark, forcing the
         // snapshot (rather than suffix) path on reconnect.
         if extra_days > 0 {
-            advance(&mut host, &g, &wal, dir.path(), extra_days, &mut cadence);
+            advance(&mut host, &engine, &g, &wal, dir.path(), extra_days, &mut cadence);
         }
         if hard_prune {
             let horizon = wal.next_seq() - 1;
-            write_snapshot_file(dir.path(), horizon, &encode(&host, None)).unwrap();
+            write_snapshot_file(dir.path(), horizon, &encode(&host, Some(&engine))).unwrap();
             wal.prune_below(horizon).unwrap();
         }
         let head = wal.next_seq() - 1;
@@ -250,9 +253,9 @@ fn reconnect_behind_pruning_horizon_gets_a_snapshot() {
     // re-ship a snapshot (the suffix no longer exists), and prove the
     // follower still converges bit-identically.
     let dir = TempDir::new("repl-catchup-pruned");
-    let model = disjoint_model(&[9, 8, 7, 6, 5, 4, 3, 2]);
-    let g = generator(model.supply(), 42);
-    let mut host = Host::new(&model, config(42));
+    let engine = disjoint_engine(&[9, 8, 7, 6, 5, 4, 3, 2]);
+    let g = generator(engine.model().supply(), 42);
+    let mut host = Host::new(engine.model(), config(42));
     let wal = Arc::new(
         SharedWal::open(
             dir.path(),
@@ -263,13 +266,13 @@ fn reconnect_behind_pruning_horizon_gets_a_snapshot() {
         )
         .unwrap(),
     );
-    write_snapshot_file(dir.path(), 0, &encode(&host, None)).unwrap();
+    write_snapshot_file(dir.path(), 0, &encode(&host, Some(&engine))).unwrap();
     let mut cadence = Cadence {
         every: 100,
         since_snap: 0,
         last_snap: 0,
     };
-    advance(&mut host, &g, &wal, dir.path(), 3, &mut cadence);
+    advance(&mut host, &engine, &g, &wal, dir.path(), 3, &mut cadence);
 
     let (feed, stopping) = spawn_test_feed(dir.path(), &wal);
     let state = FollowerState::new();
@@ -280,9 +283,9 @@ fn reconnect_behind_pruning_horizon_gets_a_snapshot() {
 
     // Leader advances and prunes everything below its new head: the
     // follower's watermark is now behind the horizon.
-    advance(&mut host, &g, &wal, dir.path(), 5, &mut cadence);
+    advance(&mut host, &engine, &g, &wal, dir.path(), 5, &mut cadence);
     let horizon = wal.next_seq() - 1;
-    write_snapshot_file(dir.path(), horizon, &encode(&host, None)).unwrap();
+    write_snapshot_file(dir.path(), horizon, &encode(&host, Some(&engine))).unwrap();
     wal.prune_below(horizon).unwrap();
     assert!(watermark < horizon);
 

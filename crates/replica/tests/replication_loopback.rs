@@ -17,7 +17,7 @@ use mroam_replica::{spawn_follower, FollowerConfig, FollowerHandle, Session, Ses
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
 use mroam_serve::protocol::Request;
-use mroam_serve::server::{spawn_streaming, ServeConfig, ServerHandle, WalConfig};
+use mroam_serve::server::{spawn, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::ReplicationConfig;
 use mroam_stream::{StreamEngine, TrajectoryDelta};
 use mroam_wal::testutil::TempDir;
@@ -60,7 +60,7 @@ fn leader_with_queue(dir: &std::path::Path, queue_msgs: usize) -> ServerHandle {
     wal.snapshot_every = 2;
     let mut replication = ReplicationConfig::new("127.0.0.1:0".into());
     replication.queue_msgs = queue_msgs;
-    spawn_streaming(
+    spawn(
         line_engine(),
         None,
         ServeConfig {

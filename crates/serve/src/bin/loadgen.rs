@@ -60,6 +60,7 @@ use mroam_serve::client::Client;
 use mroam_serve::histogram::LogHistogram;
 use mroam_serve::protocol::Request;
 use mroam_serve::server::{spawn, ServeConfig};
+use mroam_stream::StreamEngine;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::process::exit;
@@ -148,7 +149,9 @@ fn main() {
             },
             ..ServeConfig::default()
         };
-        let handle = spawn(model, None, config, "127.0.0.1:0").unwrap_or_else(|e| {
+        let engine =
+            StreamEngine::from_model(Arc::new(model), city.billboards, city.trajectories, lambda);
+        let handle = spawn(engine, None, config, "127.0.0.1:0").unwrap_or_else(|e| {
             eprintln!("cannot spawn server: {e}");
             exit(1);
         });

@@ -8,7 +8,7 @@
 //!              [--algo g-order|g-global|als|bls|exact] [--gamma 0.5] [--seed N]
 //!              [--restarts N] [--shards N] [--max-batch N] [--min-wait-ms F]
 //!              [--max-wait-ms F] [--restore path/to/snapshot.json]
-//!              [--model-cache path/to/model.cov] [--static true]
+//!              [--model-cache path/to/model.cov]
 //!              [--ingest-queue N] [--wal-dir DIR] [--wal-sync record|batch|interval:MS]
 //!              [--wal-segment-kb N] [--snapshot-every N] [--replica-addr ADDR]
 //! ```
@@ -36,13 +36,13 @@
 //! coverage model, solver configuration, locks, and ledger, and the
 //! daemon continues exactly where the snapshotted process stopped.
 //!
-//! The daemon serves *streaming* by default: `ingest`, `compact`, and
-//! `epoch_stats` requests apply live trajectory/inventory deltas on top
-//! of the city build (`--static true` disables this and pins the model).
-//! A restored daemon streams exactly when its snapshot carries the
-//! streaming section — restored engines accept new trajectories and
-//! retirements but refuse billboard adds (the snapshot does not carry
-//! historical trajectory geometry).
+//! The daemon always streams: `ingest`, `compact`, and `epoch_stats`
+//! requests apply live trajectory/inventory deltas on top of the city
+//! build (a model that never ingests is an engine whose overlay stays
+//! empty). Every snapshot carries the streaming section, and a snapshot
+//! without one is refused (exit 2, typed error on stderr). Restored
+//! engines accept new trajectories and retirements but refuse billboard
+//! adds (the snapshot does not carry historical trajectory geometry).
 
 use mroam_core::solver::{SolverSpec, SOLVER_NAMES};
 use mroam_experiments::args::Args;
@@ -50,10 +50,10 @@ use mroam_experiments::cache;
 use mroam_experiments::setup::{build_city, CityKind};
 use mroam_market::host::HostConfig;
 use mroam_serve::batch::BatchPolicy;
-use mroam_serve::server::{spawn, spawn_streaming, ServeConfig, ServerHandle, WalConfig};
+use mroam_serve::server::{spawn, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::ReplicationConfig;
 use mroam_stream::StreamEngine;
-use mroam_wal::{state, ReplayedState, SyncPolicy};
+use mroam_wal::{state, SyncPolicy};
 use std::io;
 use std::path::PathBuf;
 use std::process::exit;
@@ -67,7 +67,6 @@ fn main() {
         min_wait_nanos: (args.f64_or("min-wait-ms", 0.2) * 1e6) as u64,
         max_wait_nanos: (args.f64_or("max-wait-ms", 20.0) * 1e6) as u64,
     };
-    let want_static = args.get("static") == Some("true");
     let ingest_queue = args.usize_or("ingest-queue", 16);
     let wal = args.get("wal-dir").map(|dir| {
         let mut config = WalConfig::new(PathBuf::from(dir));
@@ -126,7 +125,7 @@ fn main() {
         for (seq, reason) in &report.skipped_snapshots {
             eprintln!("wal recovery: skipped snapshot {seq}: {reason}");
         }
-        let (host, seed, state) = world.into_parts();
+        let (host, seed, engine) = world.into_parts();
         let config = ServeConfig {
             host,
             batch,
@@ -134,13 +133,7 @@ fn main() {
             wal: wal.clone(),
             replication: replication.clone(),
         };
-        match state {
-            ReplayedState::Static(m) => {
-                let model = Arc::try_unwrap(m).unwrap_or_else(|a| (*a).clone());
-                spawn(model, Some(seed), config, &addr)
-            }
-            ReplayedState::Streaming(engine) => spawn_streaming(*engine, Some(seed), config, &addr),
-        }
+        spawn(engine, Some(seed), config, &addr)
     } else if let Some(path) = args.get("restore") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read snapshot {path:?}: {e}");
@@ -163,17 +156,15 @@ fn main() {
             wal: wal.clone(),
             replication: replication.clone(),
         };
-        match restored.stream {
-            Some(stream) if !want_static => {
-                eprintln!(
-                    "streaming restored at epoch {} ({} compactions)",
-                    stream.epoch, stream.compactions
-                );
-                let engine = stream.into_engine(Arc::new(restored.model));
-                spawn_streaming(engine, Some(restored.seed), config, &addr)
-            }
-            _ => spawn(restored.model, Some(restored.seed), config, &addr),
-        }
+        let stream = restored
+            .stream
+            .expect("a decoded snapshot always carries its stream section");
+        eprintln!(
+            "streaming restored at epoch {} ({} compactions)",
+            stream.epoch, stream.compactions
+        );
+        let engine = stream.into_engine(Arc::new(restored.model));
+        spawn(engine, Some(restored.seed), config, &addr)
     } else {
         let algo = args.get("algo").unwrap_or("g-global");
         let solver = SolverSpec::by_name(algo)
@@ -223,11 +214,10 @@ fn main() {
             None => city.coverage(lambda),
         };
         eprintln!(
-            "serving {} ({} billboards, {} trajectories{})",
+            "serving {} ({} billboards, {} trajectories, streaming)",
             city.name,
             model.n_billboards(),
             model.n_trajectories(),
-            if want_static { "" } else { ", streaming" }
         );
         // `--shards N` partitions the city on the coverage grid's
         // geometry; the spec lands in HostConfig so snapshots/WAL
@@ -270,17 +260,9 @@ fn main() {
             wal: wal.clone(),
             replication: replication.clone(),
         };
-        if want_static {
-            spawn(model, None, config, &addr)
-        } else {
-            let engine = StreamEngine::from_model(
-                Arc::new(model),
-                city.billboards,
-                city.trajectories,
-                lambda,
-            );
-            spawn_streaming(engine, None, config, &addr)
-        }
+        let engine =
+            StreamEngine::from_model(Arc::new(model), city.billboards, city.trajectories, lambda);
+        spawn(engine, None, config, &addr)
     };
 
     let handle = handle.unwrap_or_else(|e| {

@@ -2,11 +2,12 @@
 //!
 //! The offline crates answer "given these proposals, what should the host
 //! deploy?"; this crate runs that decision loop as a daemon. A server
-//! owns the world state (coverage model, inventory locks, revenue
-//! ledger) behind a single-writer command loop, speaks a length-framed
-//! JSON protocol over plain TCP, coalesces concurrent proposal
-//! submissions into batched MROAM instances under an adaptive window,
-//! and can snapshot/restore its full state for crash recovery.
+//! owns the world state (a stream engine over the coverage model,
+//! inventory locks, revenue ledger) behind a single-writer command loop,
+//! speaks a length-framed JSON protocol over plain TCP, coalesces
+//! concurrent proposal submissions into batched MROAM instances under an
+//! adaptive window, and can snapshot/restore its full state for crash
+//! recovery.
 //!
 //! Module map:
 //!
@@ -37,4 +38,4 @@ pub use client::Client;
 pub use feed::{FeedStats, FollowerRow, ReplicationConfig};
 pub use histogram::{LogHistogram, Percentiles};
 pub use protocol::{Request, Response, StatsReport};
-pub use server::{spawn, spawn_streaming, ServeConfig, ServerHandle};
+pub use server::{coverage_response, spawn, ServeConfig, ServerHandle};

@@ -14,23 +14,25 @@
 //!   into the command loop. Malformed frames are answered directly with
 //!   an `error` response and do not reach the loop.
 //! * The **command loop** is the *single writer*: it owns the
-//!   [`Host`] outright (no locks), batches `submit` requests under the
-//!   [`Batcher`]'s adaptive policy, and answers everything else
-//!   immediately. Its mpsc receive timeout is the batch deadline, so a
-//!   lull in traffic closes the open batch on time.
+//!   [`StreamEngine`] and the [`Host`] outright (no locks), batches
+//!   `submit` requests under the [`Batcher`]'s adaptive policy, and
+//!   answers everything else immediately. Its mpsc receive timeout is
+//!   the batch deadline, so a lull in traffic closes the open batch on
+//!   time.
 //! * **Graceful shutdown**: a `shutdown` request first drains the open
 //!   batch (every in-flight `submit` still gets its `allocated`
 //!   response), then acknowledges, then stops the acceptor and unblocks
 //!   any parked readers by shutting their sockets down.
 //!
-//! **Streaming epochs** ([`spawn_streaming`]): the loop owns a
-//! [`StreamEngine`] instead of a bare model and runs one host per
-//! *serving epoch* — the host borrows the engine's compacted base, so
-//! allocation always sees a consistent model while ingestion lands in
-//! the overlay. `ingest` requests apply immediately at a batch boundary;
-//! while a solve batch is open they park in a bounded pending-delta
-//! queue (backpressure: a full queue answers `error` instead of growing
-//! without bound) and drain when the batch closes. A compaction —
+//! **Streaming epochs**: the served world is always a [`StreamEngine`]
+//! (a fixed model is an engine that never ingests), and the loop runs
+//! one host per *serving epoch* — the host borrows the engine's
+//! compacted base, so allocation always sees a consistent model while
+//! ingestion lands in the overlay. `ingest` requests apply immediately
+//! at a batch boundary; while a solve batch is open they park in a
+//! bounded pending-delta queue (backpressure: a full queue answers
+//! `error` instead of growing without bound) and drain when the batch
+//! closes. A compaction —
 //! explicit `compact` request or the engine's policy firing at a batch
 //! boundary — folds the overlay into a fresh base and *re-seeds* the
 //! host against it: day clock, locks (resized for added inventory), and
@@ -41,7 +43,6 @@ use crate::feed::{self, FeedHandle, FeedStats, ReplicationConfig};
 use crate::frame::{read_frame, write_frame};
 use crate::histogram::LogHistogram;
 use crate::protocol::{Request, Response, StatsReport};
-use mroam_influence::CoverageModel;
 use mroam_market::host::{Host, HostConfig, HostSeed};
 use mroam_market::{DayRecord, Proposal};
 use mroam_stream::{IngestBatch, StreamEngine};
@@ -108,37 +109,6 @@ impl Default for ServeConfig {
             ingest_queue: 16,
             wal: None,
             replication: None,
-        }
-    }
-}
-
-/// What the command loop serves: a fixed model, or a live streaming
-/// engine whose compacted base the current host borrows.
-enum World {
-    Static(Arc<CoverageModel>),
-    Streaming(Box<StreamEngine>),
-}
-
-impl World {
-    fn engine(&self) -> Option<&StreamEngine> {
-        match self {
-            World::Static(_) => None,
-            World::Streaming(e) => Some(e),
-        }
-    }
-
-    fn engine_mut(&mut self) -> Option<&mut StreamEngine> {
-        match self {
-            World::Static(_) => None,
-            World::Streaming(e) => Some(e),
-        }
-    }
-
-    /// The model the *next* host should borrow.
-    fn serving_model(&self) -> Arc<CoverageModel> {
-        match self {
-            World::Static(m) => Arc::clone(m),
-            World::Streaming(e) => Arc::clone(e.model()),
         }
     }
 }
@@ -214,34 +184,13 @@ impl ServerHandle {
     }
 }
 
-/// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving `model`.
-/// `resume` continues from a snapshot seed instead of day 0. Streaming
-/// requests (`ingest`/`compact`/`epoch_stats`) answer `error`; use
-/// [`spawn_streaming`] to accept them.
+/// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving a live
+/// [`StreamEngine`]: allocation runs against the engine's compacted base
+/// while `ingest` requests land new trajectories and inventory events as
+/// epochs (see the module docs for the batching/backpressure rules).
+/// `resume` continues from a snapshot seed instead of day 0.
 pub fn spawn(
-    model: CoverageModel,
-    resume: Option<HostSeed>,
-    config: ServeConfig,
-    addr: &str,
-) -> io::Result<ServerHandle> {
-    spawn_world(World::Static(Arc::new(model)), resume, config, addr)
-}
-
-/// Binds `addr` and starts serving a live [`StreamEngine`]: allocation
-/// runs against the engine's compacted base while `ingest` requests land
-/// new trajectories and inventory events as epochs (see the module docs
-/// for the batching/backpressure rules).
-pub fn spawn_streaming(
     engine: StreamEngine,
-    resume: Option<HostSeed>,
-    config: ServeConfig,
-    addr: &str,
-) -> io::Result<ServerHandle> {
-    spawn_world(World::Streaming(Box::new(engine)), resume, config, addr)
-}
-
-fn spawn_world(
-    world: World,
     resume: Option<HostSeed>,
     config: ServeConfig,
     addr: &str,
@@ -254,7 +203,7 @@ fn spawn_world(
     // pays worker startup or the one-time build cost inside its latency
     // window.
     rayon::warm_up();
-    world.serving_model().precompute();
+    engine.model().precompute();
     let stopping = Arc::new(AtomicBool::new(false));
     let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
     let (tx, rx) = mpsc::channel::<Incoming>();
@@ -285,7 +234,7 @@ fn spawn_world(
 
     let command = {
         let stopping = Arc::clone(&stopping);
-        thread::spawn(move || command_loop(world, resume, config, rx, stopping, wal, feed_stats))
+        thread::spawn(move || command_loop(engine, resume, config, rx, stopping, wal, feed_stats))
     };
 
     let acceptor = {
@@ -460,7 +409,7 @@ impl WalState {
 /// then prunes segments and snapshots recovery can no longer reach.
 /// Retention keeps the new snapshot *and* the previous one (with its
 /// full replay suffix), so recovery survives a torn newest snapshot.
-fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, world: &World) {
+fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, engine: &StreamEngine) {
     let Some(w) = wal.as_mut() else { return };
     if w.days_since_snapshot < w.snapshot_every {
         return;
@@ -469,12 +418,12 @@ fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, world: &World) {
     // snapshot claims to cover it.
     w.shared.sync().expect("wal: sync before snapshot");
     let watermark = w.shared.next_seq() - 1;
-    state::write_snapshot_file(&w.dir, watermark, &state::encode(host, world.engine()))
+    state::write_snapshot_file(&w.dir, watermark, &state::encode(host, Some(engine)))
         .expect("wal: snapshot write failed");
     w.log(&WalRecord::SnapshotMark {
         wal_seq: watermark,
         day: host.day(),
-        epoch: world.engine().map_or(0, |e| e.epoch()),
+        epoch: engine.epoch(),
     });
     let floor = w.last_snapshot_seq;
     w.last_snapshot_seq = watermark;
@@ -497,7 +446,7 @@ fn prune_snapshots(dir: &Path, keep_from: u64) {
 }
 
 fn command_loop(
-    mut world: World,
+    mut engine: StreamEngine,
     resume: Option<HostSeed>,
     config: ServeConfig,
     rx: Receiver<Incoming>,
@@ -514,11 +463,11 @@ fn command_loop(
     let mut running = true;
 
     // One outer iteration per serving epoch: the host borrows the
-    // world's current base model; a compaction re-bases the world, so we
-    // break inward, carry the host state out as a seed (locks resized
+    // engine's current base model; a compaction re-bases the engine, so
+    // we break inward, carry the host state out as a seed (locks resized
     // for any added inventory), and re-enter against the fresh base.
     while running {
-        let model = world.serving_model();
+        let model = Arc::clone(engine.model());
         let mut host = match seed.take() {
             Some(s) => Host::resume(&model, config.host.clone(), s),
             None => Host::new(&model, config.host.clone()),
@@ -530,12 +479,8 @@ fn command_loop(
             // head (0 on a brand-new log).
             if w.genesis_needed {
                 let watermark = w.shared.next_seq() - 1;
-                state::write_snapshot_file(
-                    &w.dir,
-                    watermark,
-                    &state::encode(&host, world.engine()),
-                )
-                .expect("wal: genesis snapshot failed");
+                state::write_snapshot_file(&w.dir, watermark, &state::encode(&host, Some(&engine)))
+                    .expect("wal: genesis snapshot failed");
                 w.last_snapshot_seq = watermark;
                 w.genesis_needed = false;
             }
@@ -575,9 +520,9 @@ fn command_loop(
                             );
                             if close == Some(CloseReason::SizeCap) {
                                 solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                                rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
+                                rebase = after_batch(&mut engine, &mut pending_ingest, &mut wal);
                                 if !rebase {
-                                    maybe_snapshot(&mut wal, &host, &world);
+                                    maybe_snapshot(&mut wal, &host, &engine);
                                 }
                             }
                         }
@@ -592,47 +537,16 @@ fn command_loop(
                                     record,
                                 },
                             );
-                            rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
+                            rebase = after_batch(&mut engine, &mut pending_ingest, &mut wal);
                             if !rebase {
-                                maybe_snapshot(&mut wal, &host, &world);
+                                maybe_snapshot(&mut wal, &host, &engine);
                             }
                         }
                         Request::QueryCoverage { id, billboards } => {
-                            // Streaming hosts answer from the merged
-                            // base+overlay view — the freshest epoch —
-                            // while `free_total` stays the allocation
-                            // inventory of the serving base.
-                            let response = match world.engine() {
-                                Some(engine) => {
-                                    if billboards
-                                        .iter()
-                                        .any(|&b| b as usize >= engine.n_billboards())
-                                    {
-                                        Response::Error {
-                                            id,
-                                            message: "billboard id out of range".into(),
-                                        }
-                                    } else {
-                                        Response::Coverage {
-                                            id,
-                                            influence: engine.set_influence(&billboards),
-                                            free_total: host.free_count(),
-                                        }
-                                    }
-                                }
-                                None => match host.query_coverage(&billboards) {
-                                    Some(influence) => Response::Coverage {
-                                        id,
-                                        influence,
-                                        free_total: host.free_count(),
-                                    },
-                                    None => Response::Error {
-                                        id,
-                                        message: "billboard id out of range".into(),
-                                    },
-                                },
-                            };
-                            send(&reply, response);
+                            send(
+                                &reply,
+                                coverage_response(id, &billboards, &engine, host.locked_count()),
+                            );
                         }
                         Request::Stats { id } => {
                             let report = stats_report(
@@ -640,7 +554,7 @@ fn command_loop(
                                 &host,
                                 &batcher,
                                 started,
-                                &world,
+                                &engine,
                                 pending_ingest.len(),
                                 wal.as_ref(),
                                 feed_stats.as_ref(),
@@ -658,19 +572,17 @@ fn command_loop(
                                 &reply,
                                 Response::Snapshot {
                                     id,
-                                    state_json: state::encode(&host, world.engine()),
+                                    state_json: state::encode(&host, Some(&engine)),
                                 },
                             );
                         }
                         Request::Ingest { id, batch } => {
-                            if world.engine().is_none() {
-                                send(&reply, streaming_disabled(id));
-                            } else if batcher.is_empty() {
+                            if batcher.is_empty() {
                                 // Batch boundary: land the delta now,
                                 // compacting (and re-basing) if the
                                 // policy fires.
                                 pending_ingest.push_back(PendingIngest { id, batch, reply });
-                                rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
+                                rebase = after_batch(&mut engine, &mut pending_ingest, &mut wal);
                             } else if pending_ingest.len() >= config.ingest_queue {
                                 send(
                                     &reply,
@@ -687,39 +599,33 @@ fn command_loop(
                             }
                         }
                         Request::Compact { id } => {
-                            if world.engine().is_none() {
-                                send(&reply, streaming_disabled(id));
-                            } else {
-                                // A compaction is a batch boundary by
-                                // definition: close the open batch (its
-                                // submits keep their allocations), land
-                                // queued deltas, then fold.
-                                if !batcher.is_empty() {
-                                    solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                                }
-                                let engine = world.engine_mut().expect("checked streaming");
-                                for p in pending_ingest.drain(..) {
-                                    apply_ingest(engine, p.id, &p.batch, &p.reply, &mut wal);
-                                }
-                                if let Some(w) = wal.as_mut() {
-                                    w.log(&WalRecord::Compact {
-                                        epoch: engine.epoch(),
-                                    });
-                                }
-                                let report = engine.compact();
-                                send(&reply, Response::Compacted { id, report });
-                                rebase = true;
+                            // A compaction is a batch boundary by
+                            // definition: close the open batch (its
+                            // submits keep their allocations), land
+                            // queued deltas, then fold.
+                            if !batcher.is_empty() {
+                                solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
                             }
+                            for p in pending_ingest.drain(..) {
+                                apply_ingest(&mut engine, p.id, &p.batch, &p.reply, &mut wal);
+                            }
+                            if let Some(w) = wal.as_mut() {
+                                w.log(&WalRecord::Compact {
+                                    epoch: engine.epoch(),
+                                });
+                            }
+                            let report = engine.compact();
+                            send(&reply, Response::Compacted { id, report });
+                            rebase = true;
                         }
                         Request::EpochStats { id } => {
-                            let response = match world.engine() {
-                                Some(engine) => Response::EpochStats {
+                            send(
+                                &reply,
+                                Response::EpochStats {
                                     id,
                                     stats: engine.epoch_stats(),
                                 },
-                                None => streaming_disabled(id),
-                            };
-                            send(&reply, response);
+                            );
                         }
                         Request::Shutdown { id } => {
                             // Drain the in-flight batch first: every
@@ -728,10 +634,8 @@ fn command_loop(
                             if !batcher.is_empty() {
                                 solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
                             }
-                            if let Some(engine) = world.engine_mut() {
-                                for p in pending_ingest.drain(..) {
-                                    apply_ingest(engine, p.id, &p.batch, &p.reply, &mut wal);
-                                }
+                            for p in pending_ingest.drain(..) {
+                                apply_ingest(&mut engine, p.id, &p.batch, &p.reply, &mut wal);
                             }
                             send(&reply, Response::Bye { id });
                             running = false;
@@ -744,9 +648,9 @@ fn command_loop(
                     if !batcher.is_empty() {
                         solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
                     }
-                    rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
+                    rebase = after_batch(&mut engine, &mut pending_ingest, &mut wal);
                     if !rebase {
-                        maybe_snapshot(&mut wal, &host, &world);
+                        maybe_snapshot(&mut wal, &host, &engine);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -757,7 +661,7 @@ fn command_loop(
         }
         if running {
             let mut carried = host.seed();
-            carried.lock = carried.lock.resized(world.serving_model().n_billboards());
+            carried.lock = carried.lock.resized(engine.model().n_billboards());
             seed = Some(carried);
         }
     }
@@ -774,13 +678,10 @@ fn command_loop(
 /// fires. Returns whether the base changed, i.e. whether the caller must
 /// re-seed the host against the new epoch.
 fn after_batch(
-    world: &mut World,
+    engine: &mut StreamEngine,
     pending: &mut VecDeque<PendingIngest>,
     wal: &mut Option<WalState>,
 ) -> bool {
-    let Some(engine) = world.engine_mut() else {
-        return false;
-    };
     for p in pending.drain(..) {
         apply_ingest(engine, p.id, &p.batch, &p.reply, wal);
     }
@@ -825,10 +726,30 @@ fn apply_ingest(
     send(reply, response);
 }
 
-fn streaming_disabled(id: u64) -> Response {
-    Response::Error {
+/// The `query_coverage` answer, shared by the leader's command loop and
+/// the read-only follower so both give the same bytes at the same history
+/// prefix: `I(S)` from the engine's merged base + overlay view (the
+/// freshest epoch), and `free_total` as the allocation inventory of the
+/// serving base, given the `locked` count of the host or replayed world.
+pub fn coverage_response(
+    id: u64,
+    billboards: &[u32],
+    engine: &StreamEngine,
+    locked: usize,
+) -> Response {
+    if billboards
+        .iter()
+        .any(|&b| b as usize >= engine.n_billboards())
+    {
+        return Response::Error {
+            id,
+            message: "billboard id out of range".into(),
+        };
+    }
+    Response::Coverage {
         id,
-        message: "streaming disabled: server was started on a static model".into(),
+        influence: engine.set_influence(billboards),
+        free_total: engine.model().n_billboards() - locked,
     }
 }
 
@@ -888,7 +809,7 @@ fn stats_report(
     host: &Host<'_>,
     batcher: &Batcher<PendingSubmit>,
     started: Instant,
-    world: &World,
+    engine: &StreamEngine,
     ingest_pending: usize,
     wal: Option<&WalState>,
     feed: Option<&Arc<Mutex<FeedStats>>>,
@@ -944,7 +865,7 @@ fn stats_report(
         collected: host.ledger().total_collected(),
         regret: host.ledger().total_regret(),
         batch_window_micros: batcher.window_nanos() / 1_000,
-        snapshot_epoch: world.engine().map_or(0, |e| e.epoch()),
+        snapshot_epoch: engine.epoch(),
         ingest_pending: ingest_pending as u64,
         wal_segments: ws.segments as u64,
         wal_records: ws.records_appended,
@@ -993,4 +914,30 @@ fn stats_report(
 /// Sends a response, ignoring a disconnected client.
 fn send(reply: &Sender<String>, response: Response) {
     let _ = reply.send(response.encode());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mroam_stream::testutil::disjoint_engine;
+
+    #[test]
+    fn coverage_response_validates_ids() {
+        let engine = disjoint_engine(&[4, 3]);
+        let coverage = |influence| Response::Coverage {
+            id: 1,
+            influence,
+            free_total: 1,
+        };
+        assert_eq!(coverage_response(1, &[0], &engine, 1), coverage(4));
+        assert_eq!(coverage_response(1, &[0, 1], &engine, 1), coverage(7));
+        assert_eq!(coverage_response(1, &[], &engine, 1), coverage(0));
+        assert_eq!(
+            coverage_response(1, &[9], &engine, 1),
+            Response::Error {
+                id: 1,
+                message: "billboard id out of range".into(),
+            }
+        );
+    }
 }

@@ -6,7 +6,9 @@
 //!
 //! This is the in-tree twin of the CI shell scenario — same daemon, same
 //! flags — so a recovery regression fails `cargo test` before it ever
-//! reaches CI.
+//! reaches CI. The same harness drives `--restore`: a daemon resumed from
+//! a protocol `snapshot` continues exactly, and one handed a snapshot
+//! without the stream section refuses to start.
 
 use mroam_geo::Point;
 use mroam_market::Proposal;
@@ -32,28 +34,37 @@ impl Drop for Daemon {
     }
 }
 
-fn start_daemon(wal_dir: &Path) -> Daemon {
+/// Flags every daemon here runs with: test scale, and a long fixed
+/// window so days close only on explicit `run_day`, keeping the day
+/// count deterministic.
+const BASE_ARGS: [&str; 8] = [
+    "--addr",
+    "127.0.0.1:0",
+    "--scale",
+    "test",
+    "--min-wait-ms",
+    "60000",
+    "--max-wait-ms",
+    "60000",
+];
+
+fn start_wal_daemon(wal_dir: &Path) -> Daemon {
+    start_daemon(&[
+        "--wal-dir",
+        wal_dir.to_str().unwrap(),
+        "--wal-sync",
+        "record",
+        "--wal-segment-kb",
+        "4",
+        "--snapshot-every",
+        "3",
+    ])
+}
+
+fn start_daemon(extra: &[&str]) -> Daemon {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mroam-served"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--scale",
-            "test",
-            "--wal-dir",
-            wal_dir.to_str().unwrap(),
-            "--wal-sync",
-            "record",
-            "--wal-segment-kb",
-            "4",
-            "--snapshot-every",
-            "3",
-            // A long fixed window so days close only on explicit
-            // `run_day`, keeping the day count deterministic.
-            "--min-wait-ms",
-            "60000",
-            "--max-wait-ms",
-            "60000",
-        ])
+        .args(BASE_ARGS)
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -83,6 +94,17 @@ fn connect(addr: SocketAddr) -> Client {
             }
             Err(e) => panic!("cannot connect to {addr}: {e}"),
         }
+    }
+}
+
+/// One ingested trajectory from (10, 10) to (400, 400).
+fn one_trajectory() -> IngestBatch {
+    IngestBatch {
+        billboard_events: vec![],
+        trajectories: vec![TrajectoryDelta::at_speed(
+            vec![Point::new(10.0, 10.0), Point::new(400.0, 400.0)],
+            10.0,
+        )],
     }
 }
 
@@ -132,18 +154,12 @@ fn kill_minus_nine_and_restart_continues_the_ledger() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 
     // Phase 1: fresh daemon, traffic, then SIGKILL mid-flight.
-    let daemon = start_daemon(&wal_dir);
+    let daemon = start_wal_daemon(&wal_dir);
     let mut conn = connect(daemon.addr);
     let ingested = conn
         .call(&Request::Ingest {
             id: 1,
-            batch: IngestBatch {
-                billboard_events: vec![],
-                trajectories: vec![TrajectoryDelta::at_speed(
-                    vec![Point::new(10.0, 10.0), Point::new(400.0, 400.0)],
-                    10.0,
-                )],
-            },
+            batch: one_trajectory(),
         })
         .expect("ingest");
     assert_eq!(
@@ -161,7 +177,7 @@ fn kill_minus_nine_and_restart_continues_the_ledger() {
 
     // Phase 2: restart on the same WAL dir; the ledger must continue
     // bit-identically at day 5.
-    let daemon = start_daemon(&wal_dir);
+    let daemon = start_wal_daemon(&wal_dir);
     let mut conn = connect(daemon.addr);
     let after = conn.call(&Request::Stats { id: 1 }).expect("stats")["stats"].clone();
     assert_eq!(num(&after["day"]), 5.0, "recovered day: {after:?}");
@@ -197,4 +213,85 @@ fn kill_minus_nine_and_restart_continues_the_ledger() {
     assert!(report.last_seq >= 9);
 
     let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+#[test]
+fn restore_continues_a_snapshot_and_refuses_a_stream_less_one() {
+    let dir = std::env::temp_dir().join(format!("mroam-restore-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+
+    // Phase 1: days and one ingest, a snapshot over the protocol, then
+    // two more days as the uninterrupted reference.
+    let daemon = start_daemon(&[]);
+    let mut conn = connect(daemon.addr);
+    let ingested = conn
+        .call(&Request::Ingest {
+            id: 1,
+            batch: one_trajectory(),
+        })
+        .expect("ingest");
+    assert_eq!(ingested["type"].as_str(), Some("ingested"), "{ingested:?}");
+    let at_snapshot = drive_days(&mut conn, 4, 100);
+    conn.send(&Request::Snapshot { id: 7 })
+        .expect("send snapshot");
+    let raw = conn.recv_raw().expect("snapshot reply").expect("open");
+    let doc = raw
+        .strip_prefix("{\"type\":\"snapshot\",\"id\":7,\"state\":")
+        .and_then(|rest| rest.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("not a snapshot reply: {raw}"));
+    let uninterrupted = drive_days(&mut conn, 2, 500);
+    let bye = conn.call(&Request::Shutdown { id: 9 }).expect("shutdown");
+    assert_eq!(bye["type"].as_str(), Some("bye"));
+    drop(daemon);
+
+    // Phase 2: `--restore` resumes at the snapshot and continues exactly.
+    let good = dir.join("state.json");
+    std::fs::write(&good, doc).expect("write snapshot");
+    let daemon = start_daemon(&["--restore", good.to_str().unwrap()]);
+    let mut conn = connect(daemon.addr);
+    let restored = conn.call(&Request::Stats { id: 1 }).expect("stats")["stats"].clone();
+    for field in ["day", "collected", "regret", "snapshot_epoch"] {
+        assert_eq!(
+            num(&restored[field]).to_bits(),
+            num(&at_snapshot[field]).to_bits(),
+            "restored {field}: {restored:?}"
+        );
+    }
+    assert_eq!(num(&restored["snapshot_epoch"]), 1.0, "the ingest survives");
+    let resumed = drive_days(&mut conn, 2, 500);
+    for field in ["day", "collected", "regret", "snapshot_epoch"] {
+        assert_eq!(
+            num(&resumed[field]).to_bits(),
+            num(&uninterrupted[field]).to_bits(),
+            "{field} after restore diverges from the uninterrupted daemon"
+        );
+    }
+    let bye = conn.call(&Request::Shutdown { id: 9 }).expect("shutdown");
+    assert_eq!(bye["type"].as_str(), Some("bye"));
+    drop(daemon);
+
+    // Phase 3: the same document without its stream section is refused.
+    let start = doc.find("\"stream\":{").expect("stream section");
+    let end = doc.find(",\"shards\":").expect("shards section");
+    let bad = dir.join("stream-less.json");
+    std::fs::write(
+        &bad,
+        format!("{}\"stream\":null{}", &doc[..start], &doc[end..]),
+    )
+    .expect("write stream-less snapshot");
+    let out = Command::new(env!("CARGO_BIN_EXE_mroam-served"))
+        .args(BASE_ARGS)
+        .args(["--restore", bad.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .output()
+        .expect("run mroam-served");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("snapshot structure: field \"stream\""),
+        "stderr must name the typed error: {stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

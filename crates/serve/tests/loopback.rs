@@ -3,11 +3,13 @@
 //! The central claim: a served batch is not merely *similar* to an
 //! offline `MarketSim` day — it is the same computation, byte-identical
 //! on the wire, because both paths run `step_with_proposals` with the
-//! same solver seed.
+//! same solver seed. The server runs a `StreamEngine` (every served world
+//! does) while the offline oracle runs the plain `disjoint_model`, so the
+//! same test proves a never-ingesting engine serves the static model's
+//! days.
 
 use mroam_core::solver::SolverSpec;
 use mroam_core::testutil::disjoint_model;
-use mroam_influence::CoverageModel;
 use mroam_market::host::HostConfig;
 use mroam_market::json::decode_day_record;
 use mroam_market::{MarketConfig, MarketSim, Proposal};
@@ -15,6 +17,8 @@ use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
 use mroam_serve::protocol::{Request, Response};
 use mroam_serve::server::{spawn, ServeConfig, ServerHandle};
+use mroam_stream::testutil::disjoint_engine;
+use mroam_stream::StreamEngine;
 use serde_json::Value;
 
 fn solver_spec() -> SolverSpec {
@@ -23,9 +27,9 @@ fn solver_spec() -> SolverSpec {
 
 /// A server whose batches close only explicitly (`run_day`/size cap), so
 /// tests control day boundaries exactly.
-fn manual_server(model: CoverageModel, max_batch: usize) -> ServerHandle {
+fn manual_server(engine: StreamEngine, max_batch: usize) -> ServerHandle {
     spawn(
-        model,
+        engine,
         None,
         ServeConfig {
             host: HostConfig {
@@ -65,9 +69,8 @@ fn shutdown(conn: &mut Client, id: u64) {
 #[test]
 fn served_batches_are_byte_identical_to_offline_days() {
     let influences: Vec<u32> = (0..12).map(|i| 4 + (i * 5) % 9).collect();
-    let model = disjoint_model(&influences);
     let offline_model = disjoint_model(&influences);
-    let server = manual_server(model, 1024);
+    let server = manual_server(disjoint_engine(&influences), 1024);
     let mut conn = Client::connect(server.addr()).expect("connect");
 
     let mut sim = MarketSim::new(&offline_model);
@@ -138,7 +141,7 @@ fn served_batches_are_byte_identical_to_offline_days() {
 
 #[test]
 fn size_cap_closes_a_batch_without_run_day() {
-    let server = manual_server(disjoint_model(&[8, 7, 6, 5, 4, 3]), 3);
+    let server = manual_server(disjoint_engine(&[8, 7, 6, 5, 4, 3]), 3);
     let mut conn = Client::connect(server.addr()).expect("connect");
     for id in 0..3u64 {
         conn.send(&Request::Submit {
@@ -167,7 +170,7 @@ fn size_cap_closes_a_batch_without_run_day() {
 fn stats_report_is_consistent_and_percentiles_monotone() {
     let influences: Vec<u32> = (0..10).map(|i| 3 + i % 7).collect();
     let n_billboards = influences.len();
-    let server = manual_server(disjoint_model(&influences), 1024);
+    let server = manual_server(disjoint_engine(&influences), 1024);
     let mut conn = Client::connect(server.addr()).expect("connect");
     let mut id = 0u64;
     for day in 0..4u64 {
@@ -222,7 +225,7 @@ fn stats_report_is_consistent_and_percentiles_monotone() {
 #[test]
 fn snapshot_over_the_wire_matches_live_state() {
     let influences = [9u32, 8, 7, 6, 5];
-    let server = manual_server(disjoint_model(&influences), 1024);
+    let server = manual_server(disjoint_engine(&influences), 1024);
     let mut conn = Client::connect(server.addr()).expect("connect");
     let mut id = 0u64;
     for day in 0..3u64 {
@@ -253,7 +256,7 @@ fn snapshot_over_the_wire_matches_live_state() {
 
 #[test]
 fn malformed_frames_get_errors_and_shutdown_drains_the_open_batch() {
-    let server = manual_server(disjoint_model(&[6, 5, 4]), 1024);
+    let server = manual_server(disjoint_engine(&[6, 5, 4]), 1024);
     let mut conn = Client::connect(server.addr()).expect("connect");
 
     conn.send_raw(b"this is not json").expect("send garbage");
@@ -294,7 +297,7 @@ fn invalid_proposals_get_errors_and_the_loop_keeps_serving() {
     use std::net::TcpStream;
     use std::time::Duration;
 
-    let server = manual_server(disjoint_model(&[6, 5, 4]), 1024);
+    let server = manual_server(disjoint_engine(&[6, 5, 4]), 1024);
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     // A command loop killed by a proposal would never answer: the timeout
     // turns that into a failure instead of a hung test.

@@ -8,9 +8,9 @@
 //! travel through it.
 
 use mroam_core::solver::SolverSpec;
-use mroam_core::testutil::disjoint_model;
 use mroam_market::host::{Host, HostConfig};
 use mroam_market::ProposalGenerator;
+use mroam_stream::testutil::disjoint_engine;
 use mroam_wal::state;
 use proptest::prelude::*;
 
@@ -24,7 +24,8 @@ proptest! {
         kill_day in 0u32..HORIZON,
         seed in any::<u64>(),
     ) {
-        let model = disjoint_model(&influences);
+        let engine = disjoint_engine(&influences);
+        let model = engine.model();
         let config = HostConfig {
             gamma: [0.0, 0.5, 1.0][(seed % 3) as usize],
             solver: SolverSpec::by_name(
@@ -43,14 +44,14 @@ proptest! {
             seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         };
 
-        let mut uninterrupted = Host::new(&model, config.clone());
-        let mut doomed = Host::new(&model, config);
+        let mut uninterrupted = Host::new(model, config.clone());
+        let mut doomed = Host::new(model, config);
         for day in 0..kill_day {
             uninterrupted.run_day(&generator.day_batch(day));
             doomed.run_day(&generator.day_batch(day));
         }
 
-        let snapshot_text = state::encode(&doomed, None);
+        let snapshot_text = state::encode(&doomed, Some(&engine));
         drop(doomed); // the crash: only the string survives
 
         let restored = state::decode(&snapshot_text).expect("snapshot restores");

@@ -10,7 +10,7 @@ use mroam_market::host::HostConfig;
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::client::Client;
 use mroam_serve::protocol::{Request, Response};
-use mroam_serve::server::{spawn_streaming, ServeConfig, ServerHandle};
+use mroam_serve::server::{spawn, ServeConfig, ServerHandle};
 use mroam_stream::{BillboardEvent, IngestBatch, StreamEngine, TrajectoryDelta};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ fn near(b: f64) -> TrajectoryDelta {
 }
 
 fn streaming_server(engine: StreamEngine, ingest_queue: usize) -> ServerHandle {
-    spawn_streaming(
+    spawn(
         engine,
         None,
         ServeConfig {
@@ -283,34 +283,6 @@ fn streaming_snapshot_carries_the_overlay_and_restores() {
     assert_eq!(engine.influence_of(0), 3);
 
     shutdown(&mut conn, 5);
-    server.join();
-}
-
-#[test]
-fn static_servers_refuse_streaming_requests() {
-    let model = mroam_influence::CoverageModel::from_lists(vec![vec![0, 1], vec![1, 2]], 3);
-    let server = mroam_serve::server::spawn(model, None, ServeConfig::default(), "127.0.0.1:0")
-        .expect("spawn static");
-    let mut conn = Client::connect(server.addr()).expect("connect");
-    for req in [
-        Request::Ingest {
-            id: 1,
-            batch: IngestBatch::default(),
-        },
-        Request::Compact { id: 2 },
-        Request::EpochStats { id: 3 },
-    ] {
-        let v = conn.call(&req).expect("call");
-        assert_eq!(v["type"].as_str(), Some("error"), "got {v:?}");
-        assert!(
-            v["message"]
-                .as_str()
-                .unwrap()
-                .contains("streaming disabled"),
-            "got {v:?}"
-        );
-    }
-    shutdown(&mut conn, 4);
     server.join();
 }
 

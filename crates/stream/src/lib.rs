@@ -36,6 +36,7 @@ pub mod engine;
 pub mod json;
 pub mod overlay;
 pub mod shard;
+pub mod testutil;
 
 pub use delta::{
     BillboardEvent, CompactionReport, EpochStats, IngestBatch, IngestError, IngestReport,

@@ -42,7 +42,7 @@ pub use log::{
 };
 pub use record::{RecordError, WalRecord};
 pub use recover::{recover, RecoverError, RecoveryReport};
-pub use replay::{ReplayError, ReplayWorld, ReplayedState};
+pub use replay::{ReplayError, ReplayWorld};
 pub use ship::{read_msg, verify_frame, write_msg, ShipMsg};
 pub use state::{
     snapshot_file_name, Restored, SnapshotCorruption, SnapshotError, StreamRestore,

@@ -4,7 +4,8 @@
 //!
 //! 1. **Pick a snapshot.** Walk `snap-<seq>.snap` files newest-first;
 //!    the first one that passes its checksum *and* decodes wins. Corrupt
-//!    or torn snapshots are skipped (recorded in the report) — an older
+//!    or torn snapshots, and documents without the stream section, are
+//!    skipped (recorded in the report) — an older
 //!    snapshot plus a longer replay reaches the same state, because the
 //!    log keeps every segment at or above the oldest snapshot's
 //!    watermark. A WAL directory always holds at least the genesis
@@ -94,7 +95,7 @@ pub struct RecoveryReport {
     pub torn_tail_bytes: u64,
     /// Host day after replay.
     pub day: u32,
-    /// Engine epoch after replay (0 for static worlds).
+    /// Engine epoch after replay.
     pub epoch: u64,
 }
 
@@ -155,9 +156,9 @@ mod tests {
     use crate::state::{encode, write_snapshot_file};
     use crate::testutil::TempDir;
     use mroam_core::solver::SolverSpec;
-    use mroam_core::testutil::disjoint_model;
     use mroam_market::host::{Host, HostConfig};
     use mroam_market::ProposalGenerator;
+    use mroam_stream::testutil::disjoint_engine;
     use std::fs;
 
     fn config() -> HostConfig {
@@ -174,17 +175,17 @@ mod tests {
     /// Runs `days` against a fresh host while logging, snapshotting
     /// after `snap_after` days; returns the uninterrupted ledger.
     fn build_log(dir: &Path, days: u32, snap_after: u32) -> mroam_market::Ledger {
-        let model = disjoint_model(&[8, 7, 6, 5, 4, 3]);
+        let engine = disjoint_engine(&[8, 7, 6, 5, 4, 3]);
         let g = ProposalGenerator {
-            supply: model.supply(),
+            supply: engine.model().supply(),
             p_avg: 0.15,
             arrivals_per_day: (1, 3),
             duration_days: (1, 3),
             seed: 9,
         };
-        let mut host = Host::new(&model, config());
+        let mut host = Host::new(engine.model(), config());
         // Genesis snapshot: watermark 0.
-        write_snapshot_file(dir, 0, &encode(&host, None)).unwrap();
+        write_snapshot_file(dir, 0, &encode(&host, Some(&engine))).unwrap();
         let mut wal = WalWriter::open(
             dir,
             WalOptions {
@@ -203,7 +204,7 @@ mod tests {
                 .unwrap();
             host.run_day(&batch);
             if day + 1 == snap_after {
-                write_snapshot_file(dir, seq, &encode(&host, None)).unwrap();
+                write_snapshot_file(dir, seq, &encode(&host, Some(&engine))).unwrap();
                 wal.append(&WalRecord::SnapshotMark {
                     wal_seq: seq,
                     day: host.day(),
@@ -241,6 +242,30 @@ mod tests {
         let (world, report) = recover(tmp.path()).unwrap();
         assert_eq!(report.snapshot_seq, 0, "fell back to genesis");
         assert_eq!(report.skipped_snapshots.len(), 1);
+        assert_eq!(report.replayed, 9, "8 days + 1 mark from genesis");
+        assert_eq!(world.ledger().days, expected.days);
+    }
+
+    #[test]
+    fn stream_less_newest_snapshot_falls_back_to_older() {
+        let tmp = TempDir::new("recover-streamless");
+        let expected = build_log(tmp.path(), 8, 3);
+        // Rewrite the newest snapshot as a sealed, checksum-valid document
+        // whose stream section is null.
+        let snaps = state::list_snapshots(tmp.path()).unwrap();
+        let (seq, path) = snaps.last().unwrap();
+        assert_eq!(*seq, 3);
+        let doc = state::read_snapshot_file(path).unwrap();
+        let start = doc.find("\"stream\":{").expect("stream section");
+        let end = doc.find(",\"shards\":").expect("shards section");
+        let stream_less = format!("{}\"stream\":null{}", &doc[..start], &doc[end..]);
+        write_snapshot_file(tmp.path(), 3, &stream_less).unwrap();
+        let (world, report) = recover(tmp.path()).unwrap();
+        assert_eq!(report.snapshot_seq, 0, "fell back to genesis");
+        assert_eq!(report.skipped_snapshots.len(), 1);
+        let (skipped_seq, reason) = &report.skipped_snapshots[0];
+        assert_eq!(*skipped_seq, 3);
+        assert!(reason.contains("\"stream\""), "reason: {reason}");
         assert_eq!(report.replayed, 9, "8 days + 1 mark from genesis");
         assert_eq!(world.ledger().days, expected.days);
     }

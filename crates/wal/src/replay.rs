@@ -1,9 +1,10 @@
 //! Deterministic re-execution of the logged mutation stream.
 //!
-//! [`ReplayWorld`] mirrors the serve command loop's world exactly: a
-//! static coverage model or a live [`StreamEngine`] whose compacted base
-//! the market [`Host`] borrows, one serving epoch at a time. Each
-//! [`WalRecord`] drives the *same* state machine the live server ran —
+//! [`ReplayWorld`] mirrors the serve command loop's world exactly: a live
+//! [`StreamEngine`] whose compacted base the market [`Host`] borrows, one
+//! serving epoch at a time (a host that never ingests is simply an engine
+//! whose overlay stays empty). Each [`WalRecord`] drives the *same* state
+//! machine the live server ran —
 //! `Host::run_day` for day records, `StreamEngine::ingest`/`compact` for
 //! stream records — so a replayed world is bit-identical to the one that
 //! logged the records:
@@ -28,7 +29,6 @@
 
 use crate::record::WalRecord;
 use crate::state::Restored;
-use mroam_influence::CoverageModel;
 use mroam_market::host::{Host, HostConfig, HostSeed};
 use mroam_market::Ledger;
 use mroam_stream::StreamEngine;
@@ -38,11 +38,6 @@ use std::sync::Arc;
 /// Why a record could not be applied to the replayed world.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
-    /// A stream record (ingest/compact) hit a static-model world.
-    NotStreaming {
-        /// WAL seq of the offending record.
-        seq: u64,
-    },
     /// The record's logged engine epoch disagrees with the replayed
     /// engine — snapshot and log tell different histories.
     EpochMismatch {
@@ -67,12 +62,6 @@ pub enum ReplayError {
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplayError::NotStreaming { seq } => {
-                write!(
-                    f,
-                    "record {seq} needs a streaming engine but the world is static"
-                )
-            }
             ReplayError::EpochMismatch {
                 seq,
                 logged,
@@ -95,50 +84,29 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// The world being replayed into: what the command loop would own.
-enum World {
-    Static(Arc<CoverageModel>),
-    Streaming(Box<StreamEngine>),
-}
-
-impl World {
-    fn serving_model(&self) -> Arc<CoverageModel> {
-        match self {
-            World::Static(m) => Arc::clone(m),
-            World::Streaming(e) => Arc::clone(e.model()),
-        }
-    }
-}
-
-/// What a finished replay hands back to whoever resumes serving.
-pub enum ReplayedState {
-    /// A static world: the model to serve.
-    Static(Arc<CoverageModel>),
-    /// A streaming world: the live engine (host borrows its base).
-    Streaming(Box<StreamEngine>),
-}
-
 /// A world stepping through WAL records. Construct from a restored
 /// snapshot, [`ReplayWorld::apply`] each record past the snapshot's
 /// watermark, then [`ReplayWorld::into_parts`] to start serving.
 pub struct ReplayWorld {
-    world: World,
+    engine: StreamEngine,
     config: HostConfig,
     seed: HostSeed,
     replayed: usize,
 }
 
 impl ReplayWorld {
-    /// Builds the world a restored snapshot describes (streaming iff the
-    /// snapshot carried a stream section).
+    /// Builds the world a restored snapshot describes. The signature is
+    /// the one the repository benchmark (`perfbench/`) calls.
+    ///
+    /// Panics if `restored.stream` is `None`, which [`crate::state::decode`]
+    /// never returns: it refuses a stream-less document with a typed error.
     pub fn from_restored(restored: Restored) -> ReplayWorld {
-        let model = Arc::new(restored.model);
-        let world = match restored.stream {
-            Some(sr) => World::Streaming(Box::new(sr.into_engine(Arc::clone(&model)))),
-            None => World::Static(model),
-        };
+        let engine = restored
+            .stream
+            .expect("a decoded snapshot always carries its stream section")
+            .into_engine(Arc::new(restored.model));
         ReplayWorld {
-            world,
+            engine,
             config: restored.config,
             seed: restored.seed,
             replayed: 0,
@@ -149,7 +117,7 @@ impl ReplayWorld {
     pub fn apply(&mut self, seq: u64, record: &WalRecord) -> Result<(), ReplayError> {
         match record {
             WalRecord::Ingest { epoch, batch } => {
-                let engine = self.engine_mut(seq)?;
+                let engine = &mut self.engine;
                 if engine.epoch() != *epoch {
                     return Err(ReplayError::EpochMismatch {
                         seq,
@@ -170,18 +138,17 @@ impl ReplayWorld {
                         actual: self.seed.day,
                     });
                 }
-                let model = self.world.serving_model();
                 let carried = HostSeed {
                     day: self.seed.day,
                     lock: std::mem::take(&mut self.seed.lock),
                     ledger: std::mem::take(&mut self.seed.ledger),
                 };
-                let mut host = Host::resume(&model, self.config.clone(), carried);
+                let mut host = Host::resume(self.engine.model(), self.config.clone(), carried);
                 host.run_day(proposals);
                 self.seed = host.seed();
             }
             WalRecord::Compact { epoch } => {
-                let engine = self.engine_mut(seq)?;
+                let engine = &mut self.engine;
                 if engine.epoch() != *epoch {
                     return Err(ReplayError::EpochMismatch {
                         seq,
@@ -192,7 +159,7 @@ impl ReplayWorld {
                 engine.compact();
                 // The live epoch swap: carried locks grow to the new
                 // base's inventory.
-                let n = self.world.serving_model().n_billboards();
+                let n = engine.model().n_billboards();
                 self.seed.lock = std::mem::take(&mut self.seed.lock).resized(n);
             }
             WalRecord::SnapshotMark { .. } => {
@@ -202,13 +169,6 @@ impl ReplayWorld {
         }
         self.replayed += 1;
         Ok(())
-    }
-
-    fn engine_mut(&mut self, seq: u64) -> Result<&mut StreamEngine, ReplayError> {
-        match &mut self.world {
-            World::Streaming(e) => Ok(e),
-            World::Static(_) => Err(ReplayError::NotStreaming { seq }),
-        }
     }
 
     /// The replayed host clock (next day index).
@@ -221,32 +181,22 @@ impl ReplayWorld {
         &self.seed.ledger
     }
 
-    /// The replayed engine epoch (0 for a static world).
+    /// The replayed engine epoch.
     pub fn epoch(&self) -> u64 {
-        match &self.world {
-            World::Static(_) => 0,
-            World::Streaming(e) => e.epoch(),
-        }
+        self.engine.epoch()
     }
 
-    /// The streaming engine, if this world has one.
+    /// The replayed stream engine; always `Some`. The `Option` is kept
+    /// because the repository benchmark (`perfbench/`) calls
+    /// `engine().map(..)`; narrowing it waits for a change to the
+    /// benchmark.
     pub fn engine(&self) -> Option<&StreamEngine> {
-        match &self.world {
-            World::Static(_) => None,
-            World::Streaming(e) => Some(e),
-        }
+        Some(&self.engine)
     }
 
     /// Records applied so far.
     pub fn replayed(&self) -> usize {
         self.replayed
-    }
-
-    /// The model coverage queries serve from (for a streaming world,
-    /// the engine's compacted base). Follower reads go through this so
-    /// they match the leader's `query_coverage` bit for bit.
-    pub fn serving_model(&self) -> Arc<CoverageModel> {
-        self.world.serving_model()
     }
 
     /// The carried lock state, sized to the serving base.
@@ -265,11 +215,7 @@ impl ReplayWorld {
     }
 
     /// Disassembles into the pieces a server spawn needs.
-    pub fn into_parts(self) -> (HostConfig, HostSeed, ReplayedState) {
-        let state = match self.world {
-            World::Static(m) => ReplayedState::Static(m),
-            World::Streaming(e) => ReplayedState::Streaming(e),
-        };
-        (self.config, self.seed, state)
+    pub fn into_parts(self) -> (HostConfig, HostSeed, StreamEngine) {
+        (self.config, self.seed, self.engine)
     }
 }

@@ -223,7 +223,8 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// Everything a restore yields. The model is returned by value — the
-/// caller keeps it alive and borrows it to [`Host::resume`].
+/// caller keeps it alive and borrows it to [`Host::resume`] (usually
+/// through [`StreamRestore::into_engine`]).
 #[derive(Debug)]
 pub struct Restored {
     /// The coverage model the snapshot embedded.
@@ -232,7 +233,10 @@ pub struct Restored {
     pub config: HostConfig,
     /// Day clock, locks, ledger.
     pub seed: HostSeed,
-    /// Streaming state, when the snapshot came from a streaming server.
+    /// Streaming state; always `Some` after a successful [`decode`],
+    /// which refuses a stream-less document. The `Option` is kept because
+    /// the repository benchmark (`perfbench/`) unwraps it with
+    /// `.ok_or(..)`; narrowing it waits for a change to the benchmark.
     pub stream: Option<StreamRestore>,
 }
 
@@ -273,8 +277,14 @@ impl StreamRestore {
     }
 }
 
-/// Encodes a host's full state as one JSON document; `stream` adds the
-/// engine's overlay + epoch counters when the server is streaming.
+/// Encodes a host's full state as one JSON document, with the engine's
+/// overlay and epoch counters as its `stream` section. The host must
+/// serve the engine's base.
+///
+/// `stream` stays an `Option` because the repository benchmark
+/// (`perfbench/`) calls `encode(&host, Some(&engine))`; narrowing it
+/// waits for a change to the benchmark. A `None` writes `"stream":null`,
+/// which [`decode`] refuses.
 pub fn encode(host: &Host<'_>, stream: Option<&StreamEngine>) -> String {
     let model = host.model();
     let seed = host.seed();
@@ -472,9 +482,17 @@ pub fn decode_value(v: &Value) -> Result<Restored, SnapshotError> {
         .collect::<Result<Vec<_>, _>>()?;
     let n_trajectories = json::usize_field(v, "n_trajectories")?;
     let model = CoverageModel::from_lists(coverage, n_trajectories);
+    // Every served world is a stream engine, so a document without the
+    // section cannot be resumed.
     let stream = match &v["stream"] {
-        Value::Null => None,
-        section => Some(decode_stream(section, &model)?),
+        Value::Null => {
+            return Err(DecodeError {
+                field: "stream".into(),
+                expected: "the streaming section",
+            }
+            .into())
+        }
+        section => decode_stream(section, &model)?,
     };
     let shards = match &v["shards"] {
         Value::Null => None,
@@ -510,7 +528,7 @@ pub fn decode_value(v: &Value) -> Result<Restored, SnapshotError> {
             lock: json::decode_lock_state(&v["lock"])?,
             ledger: json::decode_ledger(&v["ledger"])?,
         },
-        stream,
+        stream: Some(stream),
     })
 }
 
@@ -628,8 +646,8 @@ fn u32_list(v: &Value, field: &str) -> Result<Vec<u32>, DecodeError> {
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
-    use mroam_core::testutil::disjoint_model;
     use mroam_market::{Proposal, ProposalGenerator};
+    use mroam_stream::testutil::disjoint_engine;
 
     fn config() -> HostConfig {
         HostConfig {
@@ -644,7 +662,8 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_state_and_config() {
-        let model = disjoint_model(&[8, 7, 6, 5, 4]);
+        let engine = disjoint_engine(&[8, 7, 6, 5, 4]);
+        let model = engine.model();
         let g = ProposalGenerator {
             supply: model.supply(),
             p_avg: 0.15,
@@ -652,11 +671,11 @@ mod tests {
             duration_days: (1, 4),
             seed: 3,
         };
-        let mut host = Host::new(&model, config());
+        let mut host = Host::new(model, config());
         for day in 0..5 {
             host.run_day(&g.day_batch(day));
         }
-        let restored = decode(&encode(&host, None)).expect("restores");
+        let restored = decode(&encode(&host, Some(&engine))).expect("restores");
         assert_eq!(restored.seed, host.seed());
         assert_eq!(restored.config.gamma, 0.5);
         assert_eq!(restored.config.solver, config().solver);
@@ -669,36 +688,37 @@ mod tests {
 
     #[test]
     fn shard_spec_roundtrips_through_the_snapshot() {
-        let model = disjoint_model(&[8, 7, 6, 5, 4, 3]);
+        let engine = disjoint_engine(&[8, 7, 6, 5, 4, 3]);
         let spec = ShardSpec::new(3, vec![0, 0, 1, 1, 2, 2]);
         let mut cfg = config();
         cfg.shards = Some(spec.clone());
-        let mut host = Host::new(&model, cfg);
+        let mut host = Host::new(engine.model(), cfg);
         host.run_day(&[Proposal {
             demand: 5,
             payment: 5.0,
             duration_days: 2,
             zone: Some(1),
         }]);
-        let restored = decode(&encode(&host, None)).expect("restores");
+        let restored = decode(&encode(&host, Some(&engine))).expect("restores");
         assert_eq!(restored.config.shards, Some(spec));
         // Unsharded hosts keep an absent section.
-        let plain = Host::new(&model, config());
-        let restored = decode(&encode(&plain, None)).unwrap();
+        let plain = Host::new(engine.model(), config());
+        let restored = decode(&encode(&plain, Some(&engine))).unwrap();
         assert_eq!(restored.config.shards, None);
     }
 
     #[test]
     fn sixty_four_bit_seed_survives_the_float_wire() {
-        let model = disjoint_model(&[3]);
-        let host = Host::new(&model, config());
-        let restored = decode(&encode(&host, None)).unwrap();
+        let engine = disjoint_engine(&[3]);
+        let host = Host::new(engine.model(), config());
+        let restored = decode(&encode(&host, Some(&engine))).unwrap();
         assert_eq!(restored.config.solver.seed, 0xDEAD_BEEF_CAFE_F00D);
     }
 
     #[test]
     fn resumed_host_continues_exactly() {
-        let model = disjoint_model(&[9, 8, 7, 6, 5]);
+        let engine = disjoint_engine(&[9, 8, 7, 6, 5]);
+        let model = engine.model();
         let g = ProposalGenerator {
             supply: model.supply(),
             p_avg: 0.12,
@@ -706,13 +726,13 @@ mod tests {
             duration_days: (1, 3),
             seed: 11,
         };
-        let mut uninterrupted = Host::new(&model, config());
-        let mut doomed = Host::new(&model, config());
+        let mut uninterrupted = Host::new(model, config());
+        let mut doomed = Host::new(model, config());
         for day in 0..3 {
             uninterrupted.run_day(&g.day_batch(day));
             doomed.run_day(&g.day_batch(day));
         }
-        let snapshot = encode(&doomed, None);
+        let snapshot = encode(&doomed, Some(&engine));
         drop(doomed); // the "crash"
         let restored = decode(&snapshot).unwrap();
         let mut resumed = Host::resume(&restored.model, restored.config, restored.seed);
@@ -731,9 +751,9 @@ mod tests {
             decode("{\"version\":99}"),
             Err(SnapshotError::Version(99))
         ));
-        let model = disjoint_model(&[2]);
-        let host = Host::new(&model, config());
-        let good = encode(&host, None);
+        let engine = disjoint_engine(&[2]);
+        let host = Host::new(engine.model(), config());
+        let good = encode(&host, Some(&engine));
         let evil = good.replace("\"bls\"", "\"simplex\"");
         assert!(matches!(
             decode(&evil),
@@ -742,18 +762,30 @@ mod tests {
     }
 
     #[test]
+    fn stream_less_documents_are_a_typed_error_naming_the_section() {
+        let engine = disjoint_engine(&[2]);
+        let host = Host::new(engine.model(), config());
+        let doc = encode(&host, None);
+        assert!(doc.contains("\"stream\":null"), "{doc}");
+        match decode(&doc) {
+            Err(SnapshotError::Decode(e)) => assert_eq!(e.field, "stream"),
+            other => panic!("expected a decode error naming `stream`, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn snapshot_is_consistent_mid_horizon() {
         // Locks present in the snapshot must reflect exactly the solved
         // days (no half-day state).
-        let model = disjoint_model(&[10, 9, 8]);
-        let mut host = Host::new(&model, config());
+        let engine = disjoint_engine(&[10, 9, 8]);
+        let mut host = Host::new(engine.model(), config());
         host.run_day(&[Proposal {
             demand: 9,
             payment: 9.0,
             duration_days: 5,
             zone: None,
         }]);
-        let restored = decode(&encode(&host, None)).unwrap();
+        let restored = decode(&encode(&host, Some(&engine))).unwrap();
         assert_eq!(restored.seed.day, 1);
         assert_eq!(restored.seed.lock.locked_count(), host.locked_count());
         assert_eq!(restored.seed.ledger.days.len(), 1);
@@ -789,8 +821,8 @@ mod tests {
 
     #[test]
     fn only_the_current_document_version_restores() {
-        let model = disjoint_model(&[2]);
-        let doc = encode(&Host::new(&model, config()), None);
+        let engine = disjoint_engine(&[2]);
+        let doc = encode(&Host::new(engine.model(), config()), Some(&engine));
         let tag = format!("\"version\":{SNAPSHOT_VERSION}");
         assert!(doc.contains(&tag));
         for old in [0, 1] {
@@ -818,9 +850,9 @@ mod tests {
     #[test]
     fn snapshot_files_write_atomically_and_list_in_order() {
         let tmp = TempDir::new("snap-files");
-        let model = disjoint_model(&[4, 3]);
-        let host = Host::new(&model, config());
-        let doc = encode(&host, None);
+        let engine = disjoint_engine(&[4, 3]);
+        let host = Host::new(engine.model(), config());
+        let doc = encode(&host, Some(&engine));
         write_snapshot_file(tmp.path(), 5, &doc).unwrap();
         write_snapshot_file(tmp.path(), 12, &doc).unwrap();
         let listed = list_snapshots(tmp.path()).unwrap();

@@ -20,9 +20,9 @@
 //! never a day less, never a different allocation.
 
 use mroam_core::solver::SolverSpec;
-use mroam_core::testutil::disjoint_model;
 use mroam_market::host::{Host, HostConfig};
 use mroam_market::{DayRecord, ProposalGenerator};
+use mroam_stream::testutil::disjoint_engine;
 use mroam_wal::state::{encode, list_snapshots, write_snapshot_file};
 use mroam_wal::testutil::TempDir;
 use mroam_wal::{recover, SyncPolicy, WalOptions, WalReader, WalRecord, WalWriter};
@@ -78,15 +78,15 @@ fn stream_len(dir: &Path) -> u64 {
 /// With `cut = Some(c)`, the run stops cold at the first append that
 /// reaches `c` stream bytes — the crash instant.
 fn run(dir: &Path, days: u32, snapshot_every: u32, seed: u64, cut: Option<u64>) -> Reference {
-    let model = disjoint_model(&[9, 8, 7, 6, 5, 4, 3, 2]);
+    let engine = disjoint_engine(&[9, 8, 7, 6, 5, 4, 3, 2]);
     let g = ProposalGenerator {
-        supply: model.supply(),
+        supply: engine.model().supply(),
         p_avg: 0.12,
         arrivals_per_day: (1, 4),
         duration_days: (1, 3),
         seed,
     };
-    let mut host = Host::new(&model, config(seed));
+    let mut host = Host::new(engine.model(), config(seed));
     let mut wal = WalWriter::open(
         dir,
         WalOptions {
@@ -95,7 +95,7 @@ fn run(dir: &Path, days: u32, snapshot_every: u32, seed: u64, cut: Option<u64>) 
         },
     )
     .unwrap();
-    write_snapshot_file(dir, 0, &encode(&host, None)).unwrap();
+    write_snapshot_file(dir, 0, &encode(&host, Some(&engine))).unwrap();
     let mut reference = Reference {
         ledgers: vec![host.ledger().days.clone()],
         day_at_seq: vec![0],
@@ -120,7 +120,7 @@ fn run(dir: &Path, days: u32, snapshot_every: u32, seed: u64, cut: Option<u64>) 
         if since_snap >= snapshot_every {
             since_snap = 0;
             let watermark = wal.next_seq() - 1;
-            write_snapshot_file(dir, watermark, &encode(&host, None)).unwrap();
+            write_snapshot_file(dir, watermark, &encode(&host, Some(&engine))).unwrap();
             wal.append(&WalRecord::SnapshotMark {
                 wal_seq: watermark,
                 day: host.day(),
