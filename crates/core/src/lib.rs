@@ -55,7 +55,6 @@ pub mod instance;
 pub mod moves;
 pub mod n3dm;
 pub mod regret;
-pub mod shard;
 pub mod solver;
 pub mod theory;
 pub mod warm;
@@ -68,7 +67,6 @@ pub use gain::GainEngine;
 pub use instance::Instance;
 pub use moves::MoveEngine;
 pub use regret::{dual_revenue, regret, RegretBreakdown};
-pub use shard::{solve_sharded, ShardReport, ShardSpec, ShardStats};
 pub use solver::{Solution, Solver};
 pub use warm::{solution_carries_over, warm_solve};
 

@@ -6,15 +6,13 @@
 //! `CoverageModel::from_lists`, so the oracle shares no code with the
 //! mask.
 //!
-//! Covered: G-Order, G-Global, ALS and BLS at fixed seeds, the exact
-//! solver on at most six available billboards, and `solve_sharded` at
-//! 2–4 shards with random homes against the copy plus a spec restated in
-//! copy ids. Masks are empty, full, or random; models overlap at random.
+//! Covered: G-Order, G-Global, ALS and BLS at fixed seeds, and the exact
+//! solver on at most six available billboards. Masks are empty, full, or
+//! random; models overlap at random.
 //! The `_long` variant samples many more cases and is ignored by default;
 //! CI runs it at a forced pool width with `--include-ignored`.
 
 use mroam_core::prelude::*;
-use mroam_core::shard::{solve_sharded, ShardSpec};
 use mroam_core::testutil::copied_submodel;
 use mroam_data::BillboardId;
 use mroam_influence::CoverageModel;
@@ -40,7 +38,7 @@ fn digest(s: &Solution, ids: Option<&[BillboardId]>) -> Digest {
 }
 
 /// One sampled case: coverage lists over `n_t` trajectories, a mask
-/// selector, advertisers `(demand, payment)`, γ, and the sharding draw.
+/// selector, advertisers `(demand, payment)` and γ.
 #[derive(Debug, Clone)]
 struct Case {
     lists: Vec<Vec<u32>>,
@@ -49,9 +47,6 @@ struct Case {
     mask_bits: Vec<u8>,
     advertisers: Vec<(u64, f64)>,
     gamma: f64,
-    n_shards: usize,
-    shard_of: Vec<u32>,
-    homes_raw: Vec<u32>,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -73,27 +68,15 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 proptest::collection::vec((1u64..30, 1.0..100.0f64), 1..4),
                 0.0..=1.0f64,
             ),
-            (
-                2usize..5,
-                proptest::collection::vec(0u32..4, 12),
-                proptest::collection::vec(0u32..8, 3),
-            ),
         )
             .prop_map(
-                |(
-                    (lists, n_t, mask_mode, mask_bits),
-                    (advertisers, gamma),
-                    (n_shards, shard_of, homes_raw),
-                )| Case {
+                |((lists, n_t, mask_mode, mask_bits), (advertisers, gamma))| Case {
                     lists,
                     n_t,
                     mask_mode,
                     mask_bits,
                     advertisers,
                     gamma,
-                    n_shards,
-                    shard_of,
-                    homes_raw,
                 },
             )
     })
@@ -158,52 +141,6 @@ fn check_case(case: &Case) {
             digest(&solver.solve(&reference), Some(&ids)),
             "{name} masked vs copied solve, mask {ids:?}"
         );
-    }
-
-    // Sharded: the spec indexes model ids; the reference restates it in
-    // the copy's ids, as the market step did before the mask.
-    let n_shards = case.n_shards;
-    let spec = ShardSpec::new(
-        n_shards,
-        case.shard_of[..n_b]
-            .iter()
-            .map(|&s| s % n_shards as u32)
-            .collect(),
-    );
-    let copy_spec = ShardSpec::new(
-        n_shards,
-        ids.iter().map(|b| spec.shard_of(b.index())).collect(),
-    );
-    let homes: Vec<Option<u32>> = case
-        .homes_raw
-        .iter()
-        .map(|&h| (h % 2 == 1).then_some((h / 2) % n_shards as u32))
-        .collect();
-    for (name, solver) in &solvers[1..4] {
-        let (got, report) = solve_sharded(&masked, &spec, &homes, solver.as_ref());
-        let (want, want_report) = solve_sharded(&reference, &copy_spec, &homes, solver.as_ref());
-        assert_eq!(
-            digest(&got, None),
-            digest(&want, Some(&ids)),
-            "sharded {name} at {n_shards} shards, mask {ids:?}"
-        );
-        assert_eq!(report.reconcile_added, want_report.reconcile_added);
-        assert_eq!(
-            report.boundary_advertisers,
-            want_report.boundary_advertisers
-        );
-        let billboards: usize = report.per_shard.iter().map(|s| s.billboards).sum();
-        assert_eq!(
-            billboards,
-            ids.len(),
-            "shard stats count available billboards"
-        );
-        for (x, y) in report.per_shard.iter().zip(&want_report.per_shard) {
-            assert_eq!(
-                (x.billboards, x.advertisers, x.routed_demand),
-                (y.billboards, y.advertisers, y.routed_demand)
-            );
-        }
     }
 }
 

@@ -41,7 +41,7 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// A columnar store of trajectories.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrajectoryStore {
     /// Flat point column; trajectory `i` owns `points[offsets[i]..offsets[i+1]]`.
     points: Vec<Point>,
@@ -75,6 +75,14 @@ impl<'a> TrajectoryRef<'a> {
             (Some(&a), Some(&b)) if self.timestamps.len() >= 2 => (b - a) as f64,
             _ => 0.0,
         }
+    }
+}
+
+impl Default for TrajectoryStore {
+    /// An empty store, the same as [`TrajectoryStore::new`]: the offsets
+    /// column always holds its leading 0.
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -294,6 +302,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         TrajectoryStore::new().get(TrajectoryId(0));
+    }
+
+    #[test]
+    fn default_is_the_empty_store() {
+        let store = TrajectoryStore::default();
+        assert_eq!(store.len(), 0);
+        assert!(store.is_empty());
+        assert_eq!(store.offsets(), TrajectoryStore::new().offsets());
     }
 
     #[test]

@@ -44,7 +44,6 @@ fn host_config(seed: u64) -> HostConfig {
     HostConfig {
         gamma: 0.5,
         solver: SolverSpec::by_name("g-global").unwrap().with_seed(seed),
-        shards: None,
     }
 }
 

@@ -13,21 +13,14 @@
 //!     the inputs, else built and saved there for the next run.
 //!
 //! mroam stats --billboards b.csv --trajectories t.csv
-//!       [--memory 1] [--threads 1] [--shards N] [--lambda 100]
-//!       [--model-cache model.cov] [--advertisers a.csv] [--algo g-global]
-//!       [--gamma 0.5]
+//!       [--memory 1] [--threads 1] [--lambda 100] [--model-cache model.cov]
 //!     Print the Table 5 statistics row for a dataset. With --memory 1,
 //!     also build (or load) the coverage model and print the per-structure
 //!     resident-size breakdown, split heap vs mapped — a --model-cache hit
 //!     shows the mmap savings. With
 //!     --threads 1, print the work-stealing pool's counters (width, jobs,
 //!     steals, park ratio); combined with --memory the numbers reflect
-//!     the model build that just ran. With --shards N, partition the
-//!     city N ways on the coverage grid's geometry and print per-shard
-//!     billboard/trajectory occupancy and the boundary fraction; add
-//!     --advertisers to also run one sharded solve and report per-shard
-//!     advertiser shares, routed demand, solve wall time, the
-//!     boundary-advertiser count, and the reconciliation pass's size.
+//!     the model build that just ran.
 //!
 //! mroam coverage --billboards b.csv --trajectories t.csv --lambda 100
 //!       --out model.cov
@@ -281,13 +274,6 @@ fn cmd_stats(args: &Args) {
         rayon::warm_up();
         print_thread_stats();
     }
-    if let Some(n) = args.get("shards") {
-        let n: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("bad --shards {n:?}: expected a shard count");
-            exit(2);
-        });
-        print_shard_breakdown(args, &billboards, &trajectories, n.max(1));
-    }
 }
 
 /// One `stats` round-trip against a daemon, over a throwaway socket.
@@ -381,90 +367,6 @@ fn print_replication_stats(args: &Args) {
             num(&s["repl_catch_up_micros"]) as f64 / 1e3,
         );
     }
-}
-
-/// `mroam stats --shards N`: the spatial partition a `--shards N` server
-/// would run — per-shard occupancy and boundary mass, plus (with
-/// `--advertisers`) one sharded solve's routing and timing breakdown.
-fn print_shard_breakdown(
-    args: &Args,
-    billboards: &BillboardStore,
-    trajectories: &TrajectoryStore,
-    n_shards: usize,
-) {
-    let lambda = args.f64_or("lambda", 100.0);
-    let model = model_for(args, billboards, trajectories, lambda);
-    let part = mroam_geo::SpatialPartition::build(billboards.locations(), lambda, n_shards);
-    let assignment = part.assign(billboards.locations());
-    let report = mroam_influence::shard::boundary_report(&model, &assignment, n_shards);
-    println!("shard breakdown (λ={lambda}m, {n_shards} shards):");
-    println!(
-        "  {:<8} {:>12} {:>14}",
-        "shard", "billboards", "trajectories"
-    );
-    for s in &report.shards {
-        println!(
-            "  {:<8} {:>12} {:>14}",
-            s.shard, s.billboards, s.trajectories
-        );
-    }
-    println!(
-        "  boundary: {}/{} covered trajectories straddle a shard ({:.1}%)",
-        report.cross_shard_trajectories,
-        report.covered_trajectories,
-        report.boundary_fraction() * 100.0
-    );
-
-    let Some(advertisers_path) = args.get("advertisers") else {
-        return;
-    };
-    let advertisers = cli_io::read_advertisers(File::open(advertisers_path).unwrap_or_else(|e| {
-        eprintln!("cannot open {advertisers_path}: {e}");
-        exit(1);
-    }))
-    .unwrap_or_else(|e| {
-        eprintln!("bad advertiser file: {e}");
-        exit(1);
-    });
-    let algo = args.get("algo").unwrap_or("g-global");
-    let solver = mroam_core::solver::SolverSpec::by_name(algo)
-        .unwrap_or_else(|| {
-            eprintln!(
-                "bad --algo {algo:?}: expected {}",
-                mroam_core::solver::SOLVER_NAMES.join("|")
-            );
-            exit(2);
-        })
-        .with_seed(args.seed())
-        .build();
-    let instance = Instance::new(&model, &advertisers, args.f64_or("gamma", 0.5));
-    let spec = mroam_core::ShardSpec::new(n_shards, assignment);
-    let homes = vec![None; advertisers.len()];
-    let start = std::time::Instant::now();
-    let (solution, shard_report) = mroam_core::solve_sharded(&instance, &spec, &homes, &*solver);
-    let elapsed = start.elapsed();
-    println!("sharded solve ({algo}, {} advertisers):", advertisers.len());
-    println!(
-        "  {:<8} {:>12} {:>12} {:>14} {:>14}",
-        "shard", "billboards", "advertisers", "routed demand", "solve µs"
-    );
-    for s in &shard_report.per_shard {
-        println!(
-            "  {:<8} {:>12} {:>12} {:>14} {:>14}",
-            s.shard, s.billboards, s.advertisers, s.routed_demand, s.solve_micros
-        );
-    }
-    println!(
-        "  {} boundary advertiser(s), {} billboard(s) reconciled (merge {} µs, reconcile {} µs)",
-        shard_report.boundary_advertisers,
-        shard_report.reconcile_added,
-        shard_report.merge_micros,
-        shard_report.reconcile_micros
-    );
-    println!(
-        "  total regret {:.2} in {:.1?}",
-        solution.total_regret, elapsed
-    );
 }
 
 /// `mroam stats --threads 1`: the work-stealing pool's runtime counters —

@@ -91,35 +91,6 @@ impl GridIndex {
         (self.cols, self.rows)
     }
 
-    /// The (expanded) bounding box the grid covers.
-    pub fn bbox(&self) -> &BoundingBox {
-        &self.bbox
-    }
-
-    /// Cell side length in metres.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
-    /// Number of grid cells (`cols × rows`).
-    pub fn n_cells(&self) -> usize {
-        self.cols * self.rows
-    }
-
-    /// The row-major cell index a point falls in. Points outside the
-    /// bounding box clamp to the nearest edge cell, so every point maps
-    /// to a valid cell — the same rule the builder uses to bucket items.
-    pub fn cell_of(&self, p: &Point) -> usize {
-        let cx = (((p.x - self.bbox.min_x) / self.cell_size).max(0.0) as usize).min(self.cols - 1);
-        let cy = (((p.y - self.bbox.min_y) / self.cell_size).max(0.0) as usize).min(self.rows - 1);
-        cy * self.cols + cx
-    }
-
-    /// Number of indexed items bucketed into cell `c` (row-major index).
-    pub fn cell_len(&self, c: usize) -> usize {
-        (self.starts[c + 1] - self.starts[c]) as usize
-    }
-
     /// Invokes `f(id, point)` for every indexed item within `radius` metres
     /// (inclusive) of `center`.
     ///

@@ -9,20 +9,17 @@
 //! * [`Point`] — planar points in metres with distance helpers,
 //! * [`BoundingBox`] — axis-aligned extents,
 //! * [`Polyline`] — trajectory-shaped point sequences (length, resampling),
-//! * [`GridIndex`] — a uniform-grid spatial index supporting radius queries,
-//! * [`SpatialPartition`] — the grid's cells grouped into spatial shards.
+//! * [`GridIndex`] — a uniform-grid spatial index supporting radius queries.
 //!
 //! All coordinates are planar metres; the synthetic city generators emit
 //! metres directly.
 
 pub mod bbox;
 pub mod grid;
-pub mod partition;
 pub mod point;
 pub mod polyline;
 
 pub use bbox::BoundingBox;
 pub use grid::GridIndex;
-pub use partition::SpatialPartition;
 pub use point::Point;
 pub use polyline::{resample_into, Polyline};

@@ -29,7 +29,6 @@ pub mod kernel;
 pub mod measure;
 pub mod meets;
 pub mod model;
-pub mod shard;
 pub mod slots;
 pub mod storage;
 

@@ -11,7 +11,6 @@
 //! identical code for recovery to be bit-identical.
 
 use crate::{DayOutcome, Ledger, LockState, MarketConfig, MarketSim, Proposal};
-use mroam_core::shard::{ShardReport, ShardSpec};
 use mroam_core::solver::{Solver, SolverSpec};
 use mroam_influence::CoverageModel;
 
@@ -23,10 +22,6 @@ pub struct HostConfig {
     pub gamma: f64,
     /// The deployment algorithm solved per batch.
     pub solver: SolverSpec,
-    /// Spatial sharding of the daily solve; `None` (the default) runs the
-    /// single engine. Part of the persisted config: recovery must solve
-    /// with the same sharding to replay bit-identically.
-    pub shards: Option<ShardSpec>,
 }
 
 impl Default for HostConfig {
@@ -34,7 +29,6 @@ impl Default for HostConfig {
         Self {
             gamma: 0.5,
             solver: SolverSpec::by_name("g-global").expect("registered"),
-            shards: None,
         }
     }
 }
@@ -65,11 +59,9 @@ impl<'a> Host<'a> {
     /// A fresh host: day 0, all inventory free, empty ledger.
     pub fn new(model: &'a CoverageModel, config: HostConfig) -> Self {
         let solver = config.solver.build();
-        let mut sim = MarketSim::new(model);
-        sim.set_shards(config.shards.clone());
         Self {
             model,
-            sim,
+            sim: MarketSim::new(model),
             ledger: Ledger::default(),
             day: 0,
             config,
@@ -82,11 +74,9 @@ impl<'a> Host<'a> {
     /// locks, same ledger prefix, same solver seed.
     pub fn resume(model: &'a CoverageModel, config: HostConfig, seed: HostSeed) -> Self {
         let solver = config.solver.build();
-        let mut sim = MarketSim::with_lock_state(model, seed.lock);
-        sim.set_shards(config.shards.clone());
         Self {
             model,
-            sim,
+            sim: MarketSim::with_lock_state(model, seed.lock),
             ledger: seed.ledger,
             day: seed.day,
             config,
@@ -122,12 +112,6 @@ impl<'a> Host<'a> {
     /// Currently free billboard count.
     pub fn free_count(&self) -> usize {
         self.model.n_billboards() - self.sim.locked_count()
-    }
-
-    /// The report of the most recent sharded day solve (`None` when
-    /// sharding is off or no day has been solved yet).
-    pub fn shard_report(&self) -> Option<&ShardReport> {
-        self.sim.last_shard_report()
     }
 
     /// Extracts the restartable state (pairs with [`Host::resume`]).

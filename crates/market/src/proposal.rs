@@ -15,9 +15,9 @@ pub struct Proposal {
     pub payment: f64,
     /// Days the deployment stays locked once signed (≥ 1).
     pub duration_days: u32,
-    /// Home zone for sharded solving: `Some(z)` pins the campaign to
-    /// spatial shard `z % n_shards` (shard-local, solved exactly);
-    /// `None` lets the router split demand across shards.
+    /// A client-supplied zone tag. The market ignores it: every day is
+    /// one solve over the whole free inventory. It stays on the wire and
+    /// in WAL records so logs that carry it still decode and replay.
     pub zone: Option<u32>,
 }
 

@@ -4,7 +4,6 @@ use crate::ledger::{DayRecord, Ledger};
 use crate::proposal::{Proposal, ProposalGenerator};
 use mroam_core::advertiser::AdvertiserSet;
 use mroam_core::instance::Instance;
-use mroam_core::shard::{solve_sharded, ShardReport, ShardSpec};
 use mroam_core::solver::Solver;
 use mroam_data::BillboardId;
 use mroam_influence::CoverageModel;
@@ -91,11 +90,6 @@ pub struct MarketSim<'a> {
     /// availability mask), reused across steps so the day loop does not
     /// allocate a fresh `Vec` per day.
     free_scratch: Vec<BillboardId>,
-    /// Spatial sharding for the daily solve; `None` (or one shard) keeps
-    /// the single-engine path, bit for bit.
-    shards: Option<ShardSpec>,
-    /// What the most recent sharded solve did, for stats endpoints.
-    last_shard_report: Option<ShardReport>,
 }
 
 impl<'a> MarketSim<'a> {
@@ -105,28 +99,7 @@ impl<'a> MarketSim<'a> {
             model,
             locked_until: vec![None; model.n_billboards()],
             free_scratch: Vec::new(),
-            shards: None,
-            last_shard_report: None,
         }
-    }
-
-    /// Routes future daily solves through the sharded engine (`None` or a
-    /// one-shard spec restores the single-engine path). The spec's
-    /// assignment table is indexed by full-model billboard id; billboards
-    /// past its end take shard `id % n_shards`.
-    pub fn set_shards(&mut self, shards: Option<ShardSpec>) {
-        self.shards = shards.filter(|s| s.n_shards > 1);
-    }
-
-    /// The active sharding spec, if any.
-    pub fn shards(&self) -> Option<&ShardSpec> {
-        self.shards.as_ref()
-    }
-
-    /// The report of the most recent sharded day solve (`None` before the
-    /// first sharded solve or when sharding is off).
-    pub fn last_shard_report(&self) -> Option<&ShardReport> {
-        self.last_shard_report.as_ref()
     }
 
     /// Rebuilds a simulator from an extracted [`LockState`] against the
@@ -142,8 +115,6 @@ impl<'a> MarketSim<'a> {
             model,
             locked_until: state.locked_until,
             free_scratch: Vec::new(),
-            shards: None,
-            last_shard_report: None,
         }
     }
 
@@ -261,18 +232,7 @@ impl<'a> MarketSim<'a> {
         self.collect_free(&mut free);
         let advertisers: AdvertiserSet = proposals.iter().map(|p| p.advertiser()).collect();
         let instance = Instance::new(self.model, &advertisers, config.gamma).with_available(&free);
-        let solution = match &self.shards {
-            Some(spec) => {
-                let homes: Vec<Option<u32>> = proposals
-                    .iter()
-                    .map(|p| p.zone.map(|z| z % spec.n_shards as u32))
-                    .collect();
-                let (solution, report) = solve_sharded(&instance, spec, &homes, solver);
-                self.last_shard_report = Some(report);
-                solution
-            }
-            None => solver.solve(&instance),
-        };
+        let solution = solver.solve(&instance);
         self.free_scratch = free;
 
         let mut outcomes = Vec::with_capacity(proposals.len());
@@ -567,115 +527,12 @@ mod tests {
         assert_eq!(sim.free_scratch.capacity(), cap);
     }
 
-    #[test]
-    fn sharded_sim_is_deterministic_and_books_consistently() {
-        let model = disjoint_model(&[9, 8, 7, 6, 5, 4, 3, 2]);
-        let g = generator(model.supply());
-        let cfg = MarketConfig {
-            days: 10,
-            gamma: 0.5,
-        };
-        // Blocks of two billboards per shard.
-        let spec = ShardSpec::new(4, (0..8u32).map(|b| b / 2).collect());
-        let run = || {
-            let mut sim = MarketSim::new(&model);
-            sim.set_shards(Some(spec.clone()));
-            let mut ledger = Ledger::default();
-            for day in 0..cfg.days {
-                ledger.days.push(sim.step(day, &g, &GGlobal, cfg));
-            }
-            (ledger, sim.last_shard_report().cloned())
-        };
-        let (a, report_a) = run();
-        let (b, report_b) = run();
-        assert_eq!(a.days, b.days);
-        // Wall-clock fields differ run to run; the loads must not.
-        let report = report_a.expect("sharded days must leave a report");
-        let report_b = report_b.expect("sharded days must leave a report");
-        for (x, y) in report.per_shard.iter().zip(&report_b.per_shard) {
-            assert_eq!(
-                (x.shard, x.billboards, x.advertisers),
-                (y.shard, y.billboards, y.advertisers)
-            );
-            assert_eq!(x.routed_demand, y.routed_demand);
-            assert_eq!(x.local_regret, y.local_regret);
-        }
-        assert_eq!(report.boundary_advertisers, report_b.boundary_advertisers);
-        assert_eq!(report.reconcile_added, report_b.reconcile_added);
-        assert_eq!(report.n_shards, 4);
-        for d in &a.days {
-            assert!(d.collected <= d.committed + 1e-9);
-            assert!(d.utilization() <= 1.0);
-        }
-    }
-
-    #[test]
-    fn one_shard_spec_keeps_the_single_engine_path() {
-        let model = disjoint_model(&[9, 8, 7, 6, 5, 4]);
-        let g = generator(model.supply());
-        let cfg = MarketConfig {
-            days: 8,
-            gamma: 0.5,
-        };
-        let mut plain = MarketSim::new(&model);
-        let mut one_shard = MarketSim::new(&model);
-        one_shard.set_shards(Some(ShardSpec::new(1, vec![0; 6])));
-        for day in 0..cfg.days {
-            let a = plain.step(day, &g, &GGlobal, cfg);
-            let b = one_shard.step(day, &g, &GGlobal, cfg);
-            assert_eq!(a, b, "day {day} diverged under a one-shard spec");
-        }
-        assert!(one_shard.last_shard_report().is_none());
-        assert_eq!(plain.lock_state(), one_shard.lock_state());
-    }
-
-    #[test]
-    fn zoned_proposals_stay_inside_their_shard() {
-        // Shard 0 owns billboards 0..3, shard 1 owns 3..6. A proposal
-        // pinned to zone 1 must deploy only shard-1 billboards.
-        let model = disjoint_model(&[9, 8, 7, 6, 5, 4]);
-        let spec = ShardSpec::new(2, vec![0, 0, 0, 1, 1, 1]);
-        let mut sim = MarketSim::new(&model);
-        sim.set_shards(Some(spec.clone()));
-        let batch = [
-            Proposal {
-                demand: 6,
-                payment: 6.0,
-                duration_days: 1,
-                zone: Some(1),
-            },
-            Proposal {
-                demand: 9,
-                payment: 9.0,
-                duration_days: 1,
-                zone: Some(0),
-            },
-        ];
-        let out = sim.step_with_proposals(
-            0,
-            &batch,
-            &GGlobal,
-            MarketConfig {
-                days: 1,
-                gamma: 0.5,
-            },
-        );
-        for b in &out.outcomes[0].billboards {
-            assert_eq!(spec.shard_of(b.index()), 1, "zone-1 deploy left shard 1");
-        }
-        for b in &out.outcomes[1].billboards {
-            assert_eq!(spec.shard_of(b.index()), 0, "zone-0 deploy left shard 0");
-        }
-    }
-
     /// The day step as it ran before the availability mask: copy the free
-    /// billboards into a sub-model (restating a shard spec in the copy's
-    /// ids), solve there, map the copy's ids back, and book the day. The
-    /// independent oracle for the masked step.
+    /// billboards into a sub-model, solve there, map the copy's ids back,
+    /// and book the day. The independent oracle for the masked step.
     fn reference_step(
         model: &CoverageModel,
         locks: &mut LockState,
-        shards: Option<&ShardSpec>,
         day: u32,
         proposals: &[Proposal],
         solver: &(dyn Solver + Sync),
@@ -701,20 +558,7 @@ mod tests {
             let copy = copied_submodel(model, &free);
             let advertisers: AdvertiserSet = proposals.iter().map(|p| p.advertiser()).collect();
             let instance = Instance::new(&copy, &advertisers, gamma);
-            let solution = match shards {
-                Some(spec) => {
-                    let copy_spec = ShardSpec::new(
-                        spec.n_shards,
-                        free.iter().map(|b| spec.shard_of(b.index())).collect(),
-                    );
-                    let homes: Vec<Option<u32>> = proposals
-                        .iter()
-                        .map(|p| p.zone.map(|z| z % spec.n_shards as u32))
-                        .collect();
-                    solve_sharded(&instance, &copy_spec, &homes, solver).0
-                }
-                None => solver.solve(&instance),
-            };
+            let solution = solver.solve(&instance);
             for (i, p) in proposals.iter().enumerate() {
                 let influence = solution.influences[i];
                 let regret = mroam_core::regret(&p.advertiser(), influence, gamma);
@@ -781,44 +625,29 @@ mod tests {
             duration_days: (1, 3),
             seed: 11,
         };
-        let spec = ShardSpec::new(3, (0..40u32).map(|b| (b / 5) % 3).collect());
         let bls = Bls {
             restarts: 1,
             seed: 3,
             ..Bls::default()
         };
         let solvers: [&(dyn Solver + Sync); 3] = [&GGlobal, &GOrder, &bls];
-        for (shards, zoned) in [(None, false), (Some(&spec), false), (Some(&spec), true)] {
-            for solver in solvers {
-                let mut sim = MarketSim::new(&model);
-                sim.set_shards(shards.cloned());
-                let mut locks = sim.lock_state();
-                for day in 0..30 {
-                    let mut batch = g.day_batch(day);
-                    if zoned {
-                        for (i, p) in batch.iter_mut().enumerate() {
-                            p.zone = (i % 2 == 0).then_some(day + i as u32);
-                        }
-                    }
-                    let want = reference_step(&model, &mut locks, shards, day, &batch, solver, 0.5);
-                    let got = sim.step_with_proposals(
-                        day,
-                        &batch,
-                        solver,
-                        MarketConfig {
-                            days: 30,
-                            gamma: 0.5,
-                        },
-                    );
-                    assert_eq!(
-                        got,
-                        want,
-                        "{} day {day}, sharded {}, zoned {zoned}",
-                        solver.name(),
-                        shards.is_some()
-                    );
-                    assert_eq!(sim.lock_state(), locks);
-                }
+        for solver in solvers {
+            let mut sim = MarketSim::new(&model);
+            let mut locks = sim.lock_state();
+            for day in 0..30 {
+                let batch = g.day_batch(day);
+                let want = reference_step(&model, &mut locks, day, &batch, solver, 0.5);
+                let got = sim.step_with_proposals(
+                    day,
+                    &batch,
+                    solver,
+                    MarketConfig {
+                        days: 30,
+                        gamma: 0.5,
+                    },
+                );
+                assert_eq!(got, want, "{} day {day}", solver.name());
+                assert_eq!(sim.lock_state(), locks);
             }
         }
     }

@@ -327,7 +327,7 @@ fn main() {
         .results("value", &rows);
     record.emit(
         &[
-            "group_commit rows are the satellite measurement for WAL group commit: with one appender every per-record append pays its own fdatasync; concurrent appenders coalesce into commit groups, so fsyncs_per_append falls well below 1. Absolute appends/s depends on the medium's fsync latency (tmpdir-backed here); the amortization ratio is the transferable number.".into(),
+            "group_commit rows measure SharedWal's commit groups: with one appender every per-record append pays its own fdatasync, and concurrent appenders may share one fsync per group. The serving daemon never has concurrent appenders (its command loop is the WAL's only appender), so these rows describe the WAL alone, and on a 2-vCPU host the groups barely form (fsyncs_per_append stays near 1 at 2-8 threads). Absolute appends/s depends on the medium's fsync latency (tmpdir-backed here).".into(),
             "lag rows drive a live follower through a served-day burst on the loopback: peak_lag_seqs is bounded by the leader's solve time per day (the follower replays the same solver), and converge_s is the drain after the last day. catch_up rows attach a fresh follower after the burst: snapshot restore plus suffix replay to the durable horizon.".into(),
             "Correctness gates ran before timing: follower query_coverage answers and day/locked/free/collected/regret are bit-identical to the leader at the converged seq, and mutations on the follower answer the typed redirect.".into(),
         ],

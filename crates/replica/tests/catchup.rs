@@ -45,7 +45,6 @@ fn config(seed: u64) -> HostConfig {
     HostConfig {
         gamma: 0.5,
         solver: SolverSpec::by_name("g-global").unwrap().with_seed(seed),
-        shards: None,
     }
 }
 

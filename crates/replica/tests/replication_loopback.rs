@@ -67,7 +67,6 @@ fn leader_with_queue(dir: &std::path::Path, queue_msgs: usize) -> ServerHandle {
             host: HostConfig {
                 gamma: 0.5,
                 solver: SolverSpec::by_name("g-global").unwrap().with_seed(7),
-                shards: None,
             },
             batch: BatchPolicy {
                 max_batch: 1024,

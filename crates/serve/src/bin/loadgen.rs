@@ -12,20 +12,10 @@
 //! loadgen [--requests 500] [--rps 1000] [--seed 42] [--city nyc|sg]
 //!         [--scale test|bench|paper] [--algo g-global] [--gamma 0.5]
 //!         [--p-avg 0.05] [--max-batch 64] [--max-wait-ms 20]
-//!         [--model-cache path/to/model.cov] [--shards N]
-//!         [--zipf S] [--zones N]
+//!         [--model-cache path/to/model.cov]
 //!         [--addr HOST:PORT] [--supply N] [--shutdown true]
 //!         [--follower-addr HOST:PORT]
 //! ```
-//!
-//! `--zipf S` pins each proposal to a demand zone drawn Zipf(S) over
-//! `--zones` zones (default 8): zone `k` is drawn with probability
-//! proportional to `1/(k+1)^S`, so low-numbered zones soak up most of
-//! the demand — the skewed-city workload for the sharded solve path.
-//! Against a `--shards N` server a zone pins the campaign to shard
-//! `zone % N`; an unsharded server ignores it. `--shards N` here shards
-//! the in-process spawned server the same way `mroam-served --shards`
-//! does.
 //!
 //! `--model-cache` reuses a fingerprinted coverage-model file across
 //! runs, so repeated load tests skip the cold-start model build.
@@ -122,25 +112,10 @@ fn main() {
             None => city.coverage(lambda),
         };
         let supply = model.supply();
-        let shards = args
-            .get("shards")
-            .map(|v| {
-                v.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("bad --shards {v:?}: expected a shard count");
-                    exit(2);
-                })
-            })
-            .filter(|&k| k > 1)
-            .map(|k| {
-                let locations = city.billboards.locations();
-                let part = mroam_geo::SpatialPartition::build(locations, lambda, k);
-                mroam_core::ShardSpec::new(k, part.assign(locations))
-            });
         let config = ServeConfig {
             host: HostConfig {
                 gamma: args.f64_or("gamma", 0.5),
                 solver,
-                shards,
             },
             batch: BatchPolicy {
                 max_batch: args.usize_or("max-batch", 64),
@@ -175,25 +150,6 @@ fn main() {
     // open-loop send schedule (exponential gaps with mean 1/rps).
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let p_avg = args.f64_or("p-avg", 0.05);
-    // `--zipf S`: precompute the zone CDF so each proposal draws its
-    // zone with a single uniform variate (inverse-CDF sampling).
-    let zones = args.usize_or("zones", 8).max(1);
-    let zone_cdf: Option<Vec<f64>> = args.get("zipf").map(|v| {
-        let s: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("bad --zipf {v:?}: expected a skew exponent");
-            exit(2);
-        });
-        let weights: Vec<f64> = (0..zones).map(|k| ((k + 1) as f64).powf(-s)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect()
-    });
     let mut proposals = Vec::with_capacity(n);
     let mut send_at = Vec::with_capacity(n);
     let mut t = 0.0f64;
@@ -201,15 +157,11 @@ fn main() {
         let omega: f64 = rng.gen_range(0.8..1.2);
         let demand = ((omega * p_avg * supply as f64) as u64).max(1);
         let eps: f64 = rng.gen_range(0.9..1.1);
-        let zone = zone_cdf.as_ref().map(|cdf| {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            (cdf.partition_point(|&c| c < u).min(zones - 1)) as u32
-        });
         proposals.push(Proposal {
             demand,
             payment: (eps * demand as f64).floor(),
             duration_days: rng.gen_range(1..=3u32),
-            zone,
+            zone: None,
         });
         let unit: f64 = rng.gen_range(0.0..1.0);
         t += -(1.0 - unit).ln() / rps;

@@ -6,7 +6,7 @@
 //! ```text
 //! mroam-served [--addr 127.0.0.1:7464] [--city nyc|sg] [--scale test|bench|paper]
 //!              [--algo g-order|g-global|als|bls|exact] [--gamma 0.5] [--seed N]
-//!              [--restarts N] [--shards N] [--max-batch N] [--min-wait-ms F]
+//!              [--restarts N] [--max-batch N] [--min-wait-ms F]
 //!              [--max-wait-ms F] [--restore path/to/snapshot.json]
 //!              [--model-cache path/to/model.cov]
 //!              [--ingest-queue N] [--wal-dir DIR] [--wal-sync record|batch|interval:MS]
@@ -22,12 +22,6 @@
 //! ignored in favour of the logged configuration (`--restore` too: the
 //! WAL is the fresher history).
 //!
-//! `--shards N` (fresh builds only) partitions the city into `N` spatial
-//! shards with the coverage grid's geometry and solves each day's batch
-//! on per-shard engines in parallel (see DESIGN.md §13). The shard spec
-//! is part of the host configuration, so snapshots and the WAL carry it
-//! and recovery replays with the same sharding bit-identically.
-//!
 //! `--model-cache` skips the coverage-model build on restart when the
 //! cache file's fingerprint still matches the generated city (ignored
 //! under `--restore`, which embeds its own model).
@@ -40,7 +34,8 @@
 //! requests apply live trajectory/inventory deltas on top of the city
 //! build (a model that never ingests is an engine whose overlay stays
 //! empty). Every snapshot carries the streaming section, and a snapshot
-//! without one is refused (exit 2, typed error on stderr). Restored
+//! without one, or with a non-null `shards` section (days are solved
+//! unsharded), is refused (exit 2, typed error on stderr). Restored
 //! engines accept new trajectories and retirements but refuse billboard
 //! adds (the snapshot does not carry historical trajectory geometry).
 
@@ -219,39 +214,9 @@ fn main() {
             model.n_billboards(),
             model.n_trajectories(),
         );
-        // `--shards N` partitions the city on the coverage grid's
-        // geometry; the spec lands in HostConfig so snapshots/WAL
-        // persist it and recovery solves with the same sharding.
-        let shards = args
-            .get("shards")
-            .map(|n| {
-                n.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("bad --shards {n:?}: expected a shard count");
-                    exit(2);
-                })
-            })
-            .filter(|&n| n > 1)
-            .map(|n| {
-                let locations = city.billboards.locations();
-                let part = mroam_geo::SpatialPartition::build(locations, lambda, n);
-                let spec = mroam_core::ShardSpec::new(n, part.assign(locations));
-                let report = mroam_influence::shard::boundary_report(
-                    &model,
-                    &spec.assignment,
-                    spec.n_shards,
-                );
-                eprintln!(
-                    "sharding {} ways ({} billboards, {:.1}% boundary trajectories)",
-                    n,
-                    locations.len(),
-                    report.boundary_fraction() * 100.0
-                );
-                spec
-            });
         let host = HostConfig {
             gamma: args.f64_or("gamma", 0.5),
             solver,
-            shards,
         };
         let config = ServeConfig {
             host,

@@ -225,17 +225,6 @@ pub struct StatsReport {
     /// WAL: the replay watermark — sequence of the last durable
     /// snapshot (recovery replays strictly after it).
     pub wal_snapshot_seq: u64,
-    /// Spatial shard count of the solve engine (0 when sharding is off).
-    pub shards: u64,
-    /// Advertisers whose demand the router split across ≥ 2 shards in
-    /// the most recent sharded solve.
-    pub boundary_advertisers: u64,
-    /// Billboards the reconciliation pass added in the most recent
-    /// sharded solve.
-    pub reconcile_added: u64,
-    /// Per-shard loads and timings of the most recent sharded solve
-    /// (empty when sharding is off or no day has been solved).
-    pub shard_stats: Vec<ShardRow>,
     /// WAL: highest seq on stable storage (the replication shipping
     /// horizon; 0 without a WAL).
     pub wal_durable_seq: u64,
@@ -268,21 +257,6 @@ pub struct StatsReport {
     /// Replication (follower): the leader's durable seq as last heard
     /// (lag = this minus `repl_applied_seq`).
     pub repl_leader_durable: u64,
-}
-
-/// One shard's row in a `stats` response.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
-pub struct ShardRow {
-    /// Shard index.
-    pub shard: u64,
-    /// Billboards the shard owned in the last solve (free inventory).
-    pub billboards: u64,
-    /// Advertiser shares routed to the shard.
-    pub advertisers: u64,
-    /// Demand routed to the shard.
-    pub routed_demand: u64,
-    /// Wall time of the shard-local solve, in microseconds.
-    pub solve_micros: u64,
 }
 
 /// One follower connection's row in a leader `stats` response.

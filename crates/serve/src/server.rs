@@ -887,27 +887,6 @@ fn stats_report(
         repl_snapshots_received: 0,
         repl_catch_up_micros: 0,
         repl_leader_durable: 0,
-        shards: host
-            .config()
-            .shards
-            .as_ref()
-            .map_or(0, |s| s.n_shards as u64),
-        boundary_advertisers: host
-            .shard_report()
-            .map_or(0, |r| r.boundary_advertisers as u64),
-        reconcile_added: host.shard_report().map_or(0, |r| r.reconcile_added as u64),
-        shard_stats: host.shard_report().map_or_else(Vec::new, |r| {
-            r.per_shard
-                .iter()
-                .map(|s| crate::protocol::ShardRow {
-                    shard: u64::from(s.shard),
-                    billboards: s.billboards as u64,
-                    advertisers: s.advertisers as u64,
-                    routed_demand: s.routed_demand,
-                    solve_micros: s.solve_micros,
-                })
-                .collect()
-        }),
     }
 }
 

@@ -271,27 +271,36 @@ fn restore_continues_a_snapshot_and_refuses_a_stream_less_one() {
     assert_eq!(bye["type"].as_str(), Some("bye"));
     drop(daemon);
 
-    // Phase 3: the same document without its stream section is refused.
+    // Phase 3: the same document without its stream section, or with a
+    // sharding section, is refused.
     let start = doc.find("\"stream\":{").expect("stream section");
-    let end = doc.find(",\"shards\":").expect("shards section");
-    let bad = dir.join("stream-less.json");
-    std::fs::write(
-        &bad,
-        format!("{}\"stream\":null{}", &doc[..start], &doc[end..]),
-    )
-    .expect("write stream-less snapshot");
-    let out = Command::new(env!("CARGO_BIN_EXE_mroam-served"))
-        .args(BASE_ARGS)
-        .args(["--restore", bad.to_str().unwrap()])
-        .stdout(Stdio::null())
-        .output()
-        .expect("run mroam-served");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("snapshot structure: field \"stream\""),
-        "stderr must name the typed error: {stderr}"
+    // `stream` is the document's last field.
+    let end = doc.rfind('}').expect("document end");
+    let stream_less = format!("{}\"stream\":null{}", &doc[..start], &doc[end..]);
+    let sharded = format!(
+        "{},\"shards\":{{\"n_shards\":2,\"assignment\":[0]}}{}",
+        &doc[..end],
+        &doc[end..]
     );
+    for (name, bad_doc, field) in [
+        ("stream-less", stream_less, "stream"),
+        ("sharded", sharded, "shards"),
+    ] {
+        let bad = dir.join(format!("{name}.json"));
+        std::fs::write(&bad, bad_doc).expect("write refused snapshot");
+        let out = Command::new(env!("CARGO_BIN_EXE_mroam-served"))
+            .args(BASE_ARGS)
+            .args(["--restore", bad.to_str().unwrap()])
+            .stdout(Stdio::null())
+            .output()
+            .expect("run mroam-served");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("snapshot structure: field \"{field}\"")),
+            "{name}: stderr must name the typed error: {stderr}"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

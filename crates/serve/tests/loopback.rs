@@ -35,7 +35,6 @@ fn manual_server(engine: StreamEngine, max_batch: usize) -> ServerHandle {
             host: HostConfig {
                 gamma: 0.5,
                 solver: solver_spec(),
-                shards: None,
             },
             batch: BatchPolicy {
                 max_batch,

@@ -34,7 +34,6 @@ proptest! {
             .unwrap()
             .with_restarts(2)
             .with_seed(seed ^ 0xA5A5_A5A5_A5A5_A5A5),
-            shards: None,
         };
         let generator = ProposalGenerator {
             supply: model.supply(),

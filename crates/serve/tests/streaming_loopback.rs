@@ -46,7 +46,6 @@ fn streaming_server(engine: StreamEngine, ingest_queue: usize) -> ServerHandle {
             host: HostConfig {
                 gamma: 0.5,
                 solver: SolverSpec::by_name("g-global").unwrap().with_seed(7),
-                shards: None,
             },
             batch: BatchPolicy {
                 max_batch: 1024,

@@ -35,7 +35,6 @@ pub mod delta;
 pub mod engine;
 pub mod json;
 pub mod overlay;
-pub mod shard;
 pub mod testutil;
 
 pub use delta::{
@@ -44,7 +43,6 @@ pub use delta::{
 };
 pub use engine::{CompactionPolicy, StreamEngine};
 pub use overlay::DeltaOverlay;
-pub use shard::{route_batch, RoutedBatch};
 
 #[cfg(test)]
 mod tests {

@@ -168,7 +168,6 @@ mod tests {
                 .unwrap()
                 .with_seed(77)
                 .with_restarts(2),
-            shards: None,
         }
     }
 
@@ -257,7 +256,8 @@ mod tests {
         assert_eq!(*seq, 3);
         let doc = state::read_snapshot_file(path).unwrap();
         let start = doc.find("\"stream\":{").expect("stream section");
-        let end = doc.find(",\"shards\":").expect("shards section");
+        // `stream` is the document's last field.
+        let end = doc.rfind('}').expect("document end");
         let stream_less = format!("{}\"stream\":null{}", &doc[..start], &doc[end..]);
         write_snapshot_file(tmp.path(), 3, &stream_less).unwrap();
         let (world, report) = recover(tmp.path()).unwrap();
@@ -266,6 +266,30 @@ mod tests {
         let (skipped_seq, reason) = &report.skipped_snapshots[0];
         assert_eq!(*skipped_seq, 3);
         assert!(reason.contains("\"stream\""), "reason: {reason}");
+        assert_eq!(report.replayed, 9, "8 days + 1 mark from genesis");
+        assert_eq!(world.ledger().days, expected.days);
+    }
+
+    #[test]
+    fn sharded_newest_snapshot_falls_back_to_older() {
+        let tmp = TempDir::new("recover-sharded");
+        let expected = build_log(tmp.path(), 8, 3);
+        // Rewrite the newest snapshot as a sealed, checksum-valid document
+        // that carries a sharding section.
+        let snaps = state::list_snapshots(tmp.path()).unwrap();
+        let (seq, path) = snaps.last().unwrap();
+        assert_eq!(*seq, 3);
+        let doc = state::read_snapshot_file(path).unwrap();
+        let body = doc.strip_suffix('}').expect("a JSON object");
+        let sharded =
+            format!("{body},\"shards\":{{\"n_shards\":2,\"assignment\":[0,0,0,1,1,1]}}}}");
+        write_snapshot_file(tmp.path(), 3, &sharded).unwrap();
+        let (world, report) = recover(tmp.path()).unwrap();
+        assert_eq!(report.snapshot_seq, 0, "fell back to genesis");
+        assert_eq!(report.skipped_snapshots.len(), 1);
+        let (skipped_seq, reason) = &report.skipped_snapshots[0];
+        assert_eq!(*skipped_seq, 3);
+        assert!(reason.contains("\"shards\""), "reason: {reason}");
         assert_eq!(report.replayed, 9, "8 days + 1 mark from genesis");
         assert_eq!(world.ledger().days, expected.days);
     }

@@ -34,7 +34,6 @@
 //! every WAL record with `seq <= wal_seq` is folded in, recovery replays
 //! strictly after it.
 
-use mroam_core::shard::ShardSpec;
 use mroam_core::solver::SolverSpec;
 use mroam_data::BillboardStore;
 use mroam_geo::Point;
@@ -90,19 +89,6 @@ struct SnapshotDoc {
     lock: LockState,
     ledger: Ledger,
     stream: Option<StreamDoc>,
-    shards: Option<ShardsDoc>,
-}
-
-/// The sharding section: absent for single-engine hosts (and in every
-/// pre-sharding snapshot, which therefore restores unchanged). The
-/// assignment table rides in the snapshot because recovery must solve
-/// with the *same* partition to replay bit-identically — deriving it
-/// from geometry at restore time would silently break on any partitioner
-/// change.
-#[derive(Debug, Clone, Serialize)]
-struct ShardsDoc {
-    n_shards: u64,
-    assignment: Vec<u32>,
 }
 
 /// The streaming section of a v2 snapshot: everything
@@ -325,10 +311,6 @@ pub fn encode(host: &Host<'_>, stream: Option<&StreamEngine>) -> String {
                 new_billboards: engine.overlay().new_billboard_lists().to_vec(),
             }
         }),
-        shards: host.config().shards.as_ref().map(|spec| ShardsDoc {
-            n_shards: spec.n_shards as u64,
-            assignment: spec.assignment.as_ref().clone(),
-        }),
     };
     serde_json::to_string(&doc).expect("stub never fails")
 }
@@ -494,34 +476,21 @@ pub fn decode_value(v: &Value) -> Result<Restored, SnapshotError> {
         }
         section => decode_stream(section, &model)?,
     };
-    let shards = match &v["shards"] {
-        Value::Null => None,
-        section => {
-            let n_shards = json::usize_field(section, "n_shards")?;
-            if n_shards == 0 {
-                return Err(DecodeError {
-                    field: "shards.n_shards".into(),
-                    expected: "positive shard count",
-                }
-                .into());
-            }
-            let assignment = u32_list(&section["assignment"], "shards.assignment")?;
-            if assignment.iter().any(|&s| s as usize >= n_shards) {
-                return Err(DecodeError {
-                    field: "shards.assignment".into(),
-                    expected: "shard indices below n_shards",
-                }
-                .into());
-            }
-            Some(ShardSpec::new(n_shards, assignment))
+    // Days are solved unsharded, so a document from a sharded host would
+    // replay into a different ledger than the one it acknowledged. The
+    // `"shards":null` that unsharded hosts once wrote still decodes.
+    if !matches!(v["shards"], Value::Null) {
+        return Err(DecodeError {
+            field: "shards".into(),
+            expected: "null (sharded solving is not supported)",
         }
-    };
+        .into());
+    }
     Ok(Restored {
         model,
         config: HostConfig {
             gamma: json::f64_field(v, "gamma")?,
             solver: spec,
-            shards,
         },
         seed: HostSeed {
             day: json::u32_field(v, "day")?,
@@ -656,7 +625,6 @@ mod tests {
                 .unwrap()
                 .with_seed(0xDEAD_BEEF_CAFE_F00D)
                 .with_restarts(2),
-            shards: None,
         }
     }
 
@@ -687,24 +655,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_spec_roundtrips_through_the_snapshot() {
+    fn a_shards_section_is_refused_and_a_null_one_still_restores() {
         let engine = disjoint_engine(&[8, 7, 6, 5, 4, 3]);
-        let spec = ShardSpec::new(3, vec![0, 0, 1, 1, 2, 2]);
-        let mut cfg = config();
-        cfg.shards = Some(spec.clone());
-        let mut host = Host::new(engine.model(), cfg);
+        let mut host = Host::new(engine.model(), config());
         host.run_day(&[Proposal {
             demand: 5,
             payment: 5.0,
             duration_days: 2,
             zone: Some(1),
         }]);
-        let restored = decode(&encode(&host, Some(&engine))).expect("restores");
-        assert_eq!(restored.config.shards, Some(spec));
-        // Unsharded hosts keep an absent section.
-        let plain = Host::new(engine.model(), config());
-        let restored = decode(&encode(&plain, Some(&engine))).unwrap();
-        assert_eq!(restored.config.shards, None);
+        let doc = encode(&host, Some(&engine));
+        assert!(!doc.contains("\"shards\""), "{doc}");
+        let body = doc.strip_suffix('}').expect("a JSON object");
+        let with = |section: &str| seal(&format!("{body},\"shards\":{section}}}"));
+
+        let sharded = with(r#"{"n_shards":2,"assignment":[0,0,0,1,1,1]}"#);
+        match decode(unseal(&sharded).unwrap()) {
+            Err(SnapshotError::Decode(e)) => assert_eq!(e.field, "shards"),
+            other => panic!("expected a decode error naming `shards`, got {other:?}"),
+        }
+
+        // Unsharded hosts used to write `"shards":null`; those still load.
+        let legacy = with("null");
+        let restored = decode(unseal(&legacy).unwrap()).expect("restores");
+        assert_eq!(restored.seed, host.seed());
+        assert_eq!(restored.config.solver, config().solver);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!
 //! This umbrella crate re-exports the workspace layers:
 //!
-//! * [`geo`] — points, bounding boxes, polylines, grid index, spatial
-//!   shard partition;
+//! * [`geo`] — points, bounding boxes, polylines, grid index;
 //! * [`data`] — billboard/trajectory stores, CSV interchange, Table 5 stats;
 //! * [`influence`] — the meets relation, coverage model, incremental
 //!   counters, Figure 1 curves;
