@@ -456,9 +456,60 @@ impl<'a> Allocation<'a> {
         assert_ne!(i, j, "cross swap requires distinct owners");
         let new_i = (self.influences[i.index()] as i64 + di) as u64;
         let new_j = (self.influences[j.index()] as i64 + dj) as u64;
+        self.pair_delta_to(i, j, new_i, new_j)
+    }
+
+    /// Total-regret change of advertisers `i` and `j` moving to
+    /// influences `new_i` and `new_j`: the one float expression every
+    /// two-advertiser evaluation and its best-case bound share, so the
+    /// two cannot drift apart.
+    #[inline]
+    fn pair_delta_to(&self, i: AdvertiserId, j: AdvertiserId, new_i: u64, new_j: u64) -> f64 {
         self.regret_at(i, new_i) + self.regret_at(j, new_j)
             - self.regrets[i.index()]
             - self.regrets[j.index()]
+    }
+
+    /// The influence nearest `a`'s demand among `I(S_a) + d` for
+    /// `d ∈ [lo, hi]`. Equation 1 is float-monotone on each side of the
+    /// demand and 0 at it (γ ∈ [0, 1] and `L_a ≥ 0`, which [`Instance`]
+    /// and [`Advertiser::new`] assert), so no influence in the range has
+    /// a lower float regret than this one.
+    #[inline]
+    fn nearest_demand(&self, a: AdvertiserId, lo: i64, hi: i64) -> u64 {
+        let base = self.influences[a.index()] as i64;
+        (self.advertiser(a).demand as i64).clamp(base + lo, base + hi) as u64
+    }
+
+    /// Float-exact best case of [`regret_delta_of_change`]: no change
+    /// `d ∈ [lo, hi]` gives `regret_delta_of_change(a, d)` below this.
+    ///
+    /// [`regret_delta_of_change`]: Self::regret_delta_of_change
+    #[inline]
+    pub(crate) fn regret_delta_bound(&self, a: AdvertiserId, lo: i64, hi: i64) -> f64 {
+        self.regret_delta_to(a, self.nearest_demand(a, lo, hi))
+    }
+
+    /// Float-exact best case of
+    /// [`eval_cross_swap_with_deltas`](Self::eval_cross_swap_with_deltas)
+    /// for a swap between `i`'s and `j`'s plans: no pair of influence
+    /// changes `di ∈ [i_lo, i_hi]`, `dj ∈ [j_lo, j_hi]` evaluates below
+    /// it. Float addition is monotone in each operand, so the sum is
+    /// lowest where both regrets are.
+    #[inline]
+    pub(crate) fn cross_swap_bound(
+        &self,
+        i: AdvertiserId,
+        j: AdvertiserId,
+        (i_lo, i_hi): (i64, i64),
+        (j_lo, j_hi): (i64, i64),
+    ) -> f64 {
+        self.pair_delta_to(
+            i,
+            j,
+            self.nearest_demand(i, i_lo, i_hi),
+            self.nearest_demand(j, j_lo, j_hi),
+        )
     }
 
     /// Commits the swap evaluated by [`eval_cross_swap`](Self::eval_cross_swap).
@@ -510,11 +561,7 @@ impl<'a> Allocation<'a> {
     /// trade wholesale.
     pub fn eval_exchange_plans(&self, i: AdvertiserId, j: AdvertiserId) -> f64 {
         assert_ne!(i, j, "plan exchange requires distinct advertisers");
-        let ii = self.influences[i.index()];
-        let ij = self.influences[j.index()];
-        self.regret_at(i, ij) + self.regret_at(j, ii)
-            - self.regrets[i.index()]
-            - self.regrets[j.index()]
+        self.pair_delta_to(i, j, self.influences[j.index()], self.influences[i.index()])
     }
 
     /// Commits the plan exchange evaluated by

@@ -206,7 +206,7 @@ fn one_pass_naive(alloc: &mut Allocation<'_>, params: &Bls) {
 
 /// One pass of moves 1–4 through the [`MoveEngine`] — the same move
 /// sequence as [`one_pass_naive`], with scans pruned by the engine's
-/// certificates and cached unique contributions.
+/// certificates, cached marginals and best-case bounds.
 fn one_pass_engine(alloc: &mut Allocation<'_>, params: &Bls, engine: &mut MoveEngine) {
     let n = alloc.n_advertisers();
     let mut threshold = params.threshold(alloc.total_regret());
@@ -486,8 +486,8 @@ mod tests {
         // default pool see the identical first improvement. The env var is
         // read at pool initialisation, so this test pins the *invariant*
         // on both restricted and default configurations; the
-        // `parallel_scans_match_sequential` tests in `moves`/`gain` force
-        // the two code paths directly.
+        // `parallel_scans_match_sequential` test in `moves` forces the two
+        // code paths directly.
         std::env::set_var("RAYON_NUM_THREADS", "1");
         let model = disjoint_model(&[9, 7, 5, 3, 1, 1, 1, 2, 4, 8]);
         let advs = AdvertiserSet::new(vec![

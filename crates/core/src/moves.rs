@@ -8,21 +8,26 @@
 //! member candidate list per pass — each candidate at O(coverage-list)
 //! cost. Almost all of that work re-proves facts that no committed move
 //! has touched. [`MoveEngine`] removes the re-proving while returning
-//! **bit-identical** move sequences, through four devices:
+//! **bit-identical** move sequences, through five devices:
 //!
-//! * **Cached unique contributions.** Each assigned billboard's marginal
-//!   loss `I(S_a) − I(S_a ∖ {m})` is cached per advertiser
-//!   ([`Allocation::marginal_loss_of`] integers, not floats) and kept
-//!   fresh with *overlap-scoped invalidation*: a committed move touching
-//!   billboard `b` can only change the counts under `a`'s members that
-//!   share a trajectory with `b`, i.e. `b`'s
-//!   [`OverlapGraph`](mroam_influence::OverlapGraph) neighbours — O(deg)
-//!   dirty marks per move, no coverage fan-out. Release evaluation
-//!   becomes O(1) arithmetic, and a swap between overlap-*disjoint*
-//!   billboards decomposes exactly as `Δ = gain(in) − loss(out)` (counts
-//!   under the incoming coverage are untouched by removing the outgoing
-//!   one). Both shortcuts are measure-exact — they rely on counts, not
-//!   submodularity, so `Impressions{k ≥ 2}` needs no fallback here.
+//! * **Cached marginals.** Each advertiser caches, per billboard, the
+//!   integer that toggling it in the plan moves: a member's unique
+//!   contribution `ℓ_a(m) = I(S_a) − I(S_a ∖ {m})`
+//!   ([`Allocation::marginal_loss_of`]) and a non-member's marginal gain
+//!   `g_a(o) = I(S_a ∪ {o}) − I(S_a)` — integers, not floats. Both are
+//!   kept fresh with *overlap-scoped invalidation*: a committed move
+//!   touching billboard `b` can only change the counts under `cov(b)`,
+//!   so the entries that may drift are `b`'s own and its
+//!   [`OverlapGraph`](mroam_influence::OverlapGraph) neighbours' — O(deg)
+//!   dirty marks per move, no coverage fan-out. `b`'s own mark also
+//!   covers its change of membership, so one cache serves both meanings.
+//!   Release evaluation becomes O(1) arithmetic, a re-run swap scan
+//!   recounts only the gains a move could have changed, and a swap
+//!   between overlap-*disjoint* billboards decomposes exactly as
+//!   `Δ = gain(in) − loss(out)` (counts under the incoming coverage are
+//!   untouched by removing the outgoing one). These shortcuts are
+//!   measure-exact — they rely on counts, not submodularity, so
+//!   `Impressions{k ≥ 2}` needs no fallback here.
 //! * **Exactly-once bitsets.** Under the Distinct measure, with the
 //!   model's [`CoverageBitmap`] within budget, each advertiser also gets
 //!   two lazily rebuilt bitsets: `covered` (some plan member covers the
@@ -38,6 +43,19 @@
 //!   depends on whether its meet count is zero; the other measures keep
 //!   the [`Allocation::eval_cross_swap`] / [`eval_replace_with_free`]
 //!   walks for overlapping pairs.
+//! * **Best-case pruning.** On the exact path, a swap's exactly-once
+//!   correction `k` lies in `[0, min(ℓ(out), I({in}) − g(in))]`, so its
+//!   influence change lies in `[g − ℓ, min(g, I({in}) − ℓ)]` — a box
+//!   built from prefetched integers alone. Equation 1 is float-monotone
+//!   on each side of the demand and 0 at it, so the scans' own float
+//!   expression at the box's influence nearest each demand
+//!   (`Allocation::cross_swap_bound`, `Allocation::regret_delta_bound`)
+//!   is no larger than that of any swap in the box. A pair whose best
+//!   case cannot beat the threshold is skipped before the adjacency
+//!   probe and the kernel run; so is a whole row (one member against
+//!   every candidate), boxed by the row's extreme gains and losses. The
+//!   skip is exact: no skipped pair could have been the first improving
+//!   one.
 //! * **Pair-level dirtiness.** Every scan the naive loops repeat is a
 //!   pure function of a small state fingerprint: plan exchanges read the
 //!   two advertisers' influences; cross-swap scans read the two
@@ -54,17 +72,20 @@
 //!   scans whose fingerprint it touched re-run; in the common case that
 //!   is two advertisers out of `n`, and the fixpoint-confirming final
 //!   pass over the whole neighbourhood collapses to cert lookups.
-//! * **Parallel deterministic scans.** Scans that do re-run evaluate
-//!   their candidates on the rayon pool and reduce with
-//!   `position_first` — the *minimum* candidate index that improves — so
-//!   the committed move is bit-identical to the sequential
-//!   first-improvement walk regardless of thread count or chunk
-//!   boundaries.
+//! * **Parallel deterministic scans.** Large scans that do re-run split
+//!   across the rayon pool: the cross-swap scan over the rows of its one
+//!   pruned row scan, reduced with `find_first` (the first row holding an
+//!   improving pair, with that row's first improving column), and the
+//!   free-swap scan over the free pool within each row, reduced with
+//!   `position_first`. Both keep the *minimum* index, so the committed
+//!   move is bit-identical to the sequential first-improvement walk
+//!   regardless of thread count or chunk boundaries.
 //!
 //! Bit-identity holds float-by-float, not just move-by-move: every delta
 //! the engine folds is produced by the same expressions the naive
 //! evaluations bottom out in ([`Allocation::regret_delta_to`] /
-//! [`Allocation::eval_cross_swap_with_deltas`]), fed the same integers.
+//! [`Allocation::eval_cross_swap_with_deltas`]), fed the same integers,
+//! and the bounds evaluate those very expressions.
 //! The equivalence property tests below replay ALS and BLS end-to-end
 //! against the `naive_scan` twins across measures, regret regimes and
 //! demand-boundary crossings and require identical sets and regret.
@@ -76,20 +97,22 @@ use mroam_data::{AdvertiserId, BillboardId};
 use mroam_influence::{kernel, CoverageBitmap};
 use rayon::prelude::*;
 
-/// Below this many candidates a swap scan stays sequential. A fan-out
-/// across cores costs 15–20 µs of wake-up, but each swap candidate is
-/// priced with a swap delta, not an O(1) score, so these scans can repay
-/// it where the gain engine's pick scans could not. Measured on a 2-vCPU
-/// host at pool width 2 (bench-scale NYC and SG, BLS, 3 rounds of 5
-/// solves): splitting the cross-swap scan, the free-swap scan, both or
-/// neither from 256 candidates gave BLS medians within run-to-run noise
-/// of each other (NYC 387–528 ms, SG 535–811 ms), all faster than at
-/// width 1 (NYC 661–684 ms, SG 844–1,240 ms). Both paths compute the
+/// Below this many candidates (cross-swap pairs, or free billboards in a
+/// free-swap row) a swap scan stays sequential. A fan-out across cores
+/// costs 15–20 µs of wake-up. The split was sized when every candidate
+/// paid a full swap delta; since best-case pruning most candidates cost
+/// one bound check (two regret evaluations), and only the survivors pay
+/// the adjacency probe and the kernel. Measured on a 2-vCPU host at pool
+/// width 2 (bench-scale NYC and SG, registry BLS, 3 rounds of 5 solves,
+/// round medians): NYC 127–134 ms and SG 226–266 ms with the split,
+/// NYC 107–117 ms and SG 223–234 ms without it, against NYC 167 ms and
+/// SG 326 ms at width 1. Whether the split still earns its place is for
+/// a host with four or more cores to decide. Both paths compute the
 /// identical result (minimum-index semantics).
 const PAR_SCAN_MIN: usize = 256;
 
-/// Sentinel marking a cached unique contribution as stale. Real losses
-/// are bounded by the trajectory count and can never reach it.
+/// Sentinel marking a cached marginal as stale. Real marginals are
+/// bounded by the trajectory count and can never reach it.
 const DIRTY: u64 = u64::MAX;
 
 /// "This scan found nothing" certificate for a two-advertiser
@@ -158,11 +181,13 @@ pub struct MoveEngine {
     free_clean: Vec<ScanCert>,
     /// BLS move 3 certificates, per advertiser.
     release_clean: Vec<ScanCert>,
-    /// Per advertiser: cached unique contribution (marginal loss) per
-    /// billboard, [`DIRTY`]-marked by overlap-scoped invalidation.
-    /// Allocated on first use; entries are only meaningful for current
-    /// plan members.
-    loss: Vec<Vec<u64>>,
+    /// Per advertiser and billboard `o`: the influence that toggling `o`
+    /// in the plan moves — the unique contribution `ℓ_a(o)` of a member,
+    /// the marginal gain `g_a(o)` of a non-member — [`DIRTY`]-marked by
+    /// overlap-scoped invalidation. An entry changes meaning only when
+    /// `o` joins or leaves the plan, and that event dirties it, so one
+    /// cache serves losses and gains alike. Allocated on first use.
+    marginal: Vec<Vec<u64>>,
     /// Per advertiser: the covered and exactly-once trajectory bitsets of
     /// the plan, sized to the model's [`CoverageBitmap`] rows. They give
     /// the swap scans exact Distinct gains as
@@ -227,6 +252,25 @@ impl PlanBits<'_> {
     }
 }
 
+/// The range `[g − ℓ, min(g, I({in}) − ℓ)]` of the exact Distinct
+/// influence change of swapping out a member with unique contribution
+/// `loss` for a non-member with marginal gain `gain` and individual
+/// influence `infl_in`. The exactly-once correction `k` of
+/// [`PlanBits::swap_delta`] counts trajectories of `in` that `out` alone
+/// covers, so `0 ≤ k ≤ min(ℓ, I({in}) − g)`.
+#[inline]
+fn swap_range(gain: i64, loss: i64, infl_in: i64) -> (i64, i64) {
+    (gain - loss, gain.min(infl_in - loss))
+}
+
+/// `(min, max)` of a prefetched column; `(0, 0)` when it is empty (no
+/// row is then scanned against it).
+fn min_max(values: &[i64]) -> (i64, i64) {
+    let min = values.iter().copied().min().unwrap_or(0);
+    let max = values.iter().copied().max().unwrap_or(0);
+    (min, max)
+}
+
 impl MoveEngine {
     /// Creates an engine over the allocation's *current* state; moves made
     /// through the allocation afterwards are picked up via its event log.
@@ -241,7 +285,7 @@ impl MoveEngine {
             cross_clean: vec![PairCert::NONE; n * n],
             free_clean: vec![ScanCert::NONE; n],
             release_clean: vec![ScanCert::NONE; n],
-            loss: vec![Vec::new(); n],
+            marginal: vec![Vec::new(); n],
             covered: vec![CoveredSet::default(); n],
         }
     }
@@ -263,22 +307,22 @@ impl MoveEngine {
             match *ev {
                 AllocEvent::Assigned { b, a } => {
                     self.ver[a.index()] += 1;
-                    self.dirty_losses(alloc, a, b);
+                    self.dirty_marginals(alloc, a, b);
                     self.covered[a.index()].valid = false;
                 }
                 AllocEvent::Released { b, a } => {
                     self.ver[a.index()] += 1;
                     self.free_add_ver += 1;
-                    self.dirty_losses(alloc, a, b);
+                    self.dirty_marginals(alloc, a, b);
                     self.covered[a.index()].valid = false;
                 }
                 AllocEvent::PlansExchanged { i, j } => {
                     self.ver[i.index()] += 1;
                     self.ver[j.index()] += 1;
                     // Counters and sets swapped wholesale: each cached
-                    // loss (and covered bitset) follows its plan to the
-                    // other advertiser and stays exact.
-                    self.loss.swap(i.index(), j.index());
+                    // marginal (and covered bitset) follows its plan to
+                    // the other advertiser and stays exact.
+                    self.marginal.swap(i.index(), j.index());
                     self.covered.swap(i.index(), j.index());
                 }
             }
@@ -287,14 +331,16 @@ impl MoveEngine {
     }
 
     /// Overlap-scoped invalidation: assigning or releasing `b` under
-    /// advertiser `a` changes `a`'s meet counts only on `cov(b)`, so the
-    /// unique contributions that may drift are `b`'s own and its
-    /// overlap-graph neighbours' — O(deg) dirty marks.
-    fn dirty_losses(&mut self, alloc: &Allocation<'_>, a: AdvertiserId, b: BillboardId) {
+    /// advertiser `a` changes `a`'s meet counts only on `cov(b)`, and
+    /// `b`'s membership only, so the cached marginals that may drift are
+    /// `b`'s own and its overlap-graph neighbours' — O(deg) dirty marks.
+    /// Volume marginals are `|cov(o)|` whatever the plan, so they never
+    /// go stale.
+    fn dirty_marginals(&mut self, alloc: &Allocation<'_>, a: AdvertiserId, b: BillboardId) {
         if !self.overlap_sensitive {
             return;
         }
-        let cache = &mut self.loss[a.index()];
+        let cache = &mut self.marginal[a.index()];
         if cache.is_empty() {
             return;
         }
@@ -304,21 +350,33 @@ impl MoveEngine {
         }
     }
 
+    /// Entry `o` of one advertiser's marginal cache, recomputed through
+    /// `compute` only when dirty.
+    #[inline]
+    fn cached(
+        cache: &mut Vec<u64>,
+        n_b: usize,
+        o: BillboardId,
+        compute: impl FnOnce() -> u64,
+    ) -> u64 {
+        if cache.is_empty() {
+            *cache = vec![DIRTY; n_b];
+        }
+        let slot = &mut cache[o.index()];
+        if *slot == DIRTY {
+            *slot = compute();
+        }
+        *slot
+    }
+
     /// Cached unique contribution of plan member `m` of advertiser `a`,
     /// recomputed through [`Allocation::marginal_loss_of`] only when
     /// dirty.
     fn loss_of(&mut self, alloc: &Allocation<'_>, a: AdvertiserId, m: BillboardId) -> u64 {
-        let cache = &mut self.loss[a.index()];
-        if cache.is_empty() {
-            *cache = vec![DIRTY; alloc.instance().model.n_billboards()];
-        }
-        let v = cache[m.index()];
-        if v != DIRTY {
-            return v;
-        }
-        let loss = alloc.marginal_loss_of(a, m);
-        self.loss[a.index()][m.index()] = loss;
-        loss
+        let n_b = alloc.instance().model.n_billboards();
+        Self::cached(&mut self.marginal[a.index()], n_b, m, || {
+            alloc.marginal_loss_of(a, m)
+        })
     }
 
     /// Ensures `a`'s plan bitsets are current and returns the coverage
@@ -383,6 +441,30 @@ impl MoveEngine {
         alloc.marginal_gain(a, f)
     }
 
+    /// Prefetches, through `a`'s marginal cache, the unique contributions
+    /// of `a`'s plan members `own` and the marginal gains to `a`'s plan of
+    /// the non-members `others`. `bits` must be `a`'s current plan
+    /// bitsets ([`Self::refresh_covered`]) when the bitmap path is on.
+    fn prefetch(
+        cache: &mut Vec<u64>,
+        alloc: &Allocation<'_>,
+        a: AdvertiserId,
+        bits: Option<PlanBits<'_>>,
+        own: &[BillboardId],
+        others: &[BillboardId],
+    ) -> (Vec<i64>, Vec<i64>) {
+        let n_b = alloc.instance().model.n_billboards();
+        let losses = own
+            .iter()
+            .map(|&m| Self::cached(cache, n_b, m, || alloc.marginal_loss_of(a, m)) as i64)
+            .collect();
+        let gains = others
+            .iter()
+            .map(|&o| Self::cached(cache, n_b, o, || Self::gain_of(alloc, bits, a, o)) as i64)
+            .collect();
+        (losses, gains)
+    }
+
     /// The integer influence change the swap scans price swapping `a`'s
     /// plan member `out` for non-member `inn` at, on the exact bitmap
     /// path — the same prefetch helpers and formula the scans use.
@@ -395,18 +477,72 @@ impl MoveEngine {
         inn: BillboardId,
     ) -> i64 {
         self.drain(alloc);
-        let loss = self.loss_of(alloc, a, out) as i64;
         let rows = self
             .refresh_covered(alloc, a)
             .expect("exact bitmap path available");
         let bits = self.covered[a.index()].bits(rows);
-        let gain = Self::gain_of(alloc, Some(bits), a, inn) as i64;
+        let (loss, gain) = Self::prefetch(
+            &mut self.marginal[a.index()],
+            alloc,
+            a,
+            Some(bits),
+            &[out],
+            &[inn],
+        );
         let adjacent = alloc
             .instance()
             .model
             .overlap_graph()
             .are_adjacent(out.0, inn.0);
-        bits.swap_delta(gain, loss, out, inn, adjacent)
+        bits.swap_delta(gain[0], loss[0], out, inn, adjacent)
+    }
+
+    /// Every non-dirty marginal-cache entry equals a fresh recount: the
+    /// unique contribution of a member, the marginal gain of a
+    /// non-member. Returns how many entries it checked.
+    #[cfg(test)]
+    fn assert_marginals_exact(&mut self, alloc: &Allocation<'_>) -> usize {
+        self.drain(alloc);
+        let mut checked = 0;
+        for (ai, cache) in self.marginal.iter().enumerate() {
+            let a = AdvertiserId::from_index(ai);
+            for (o, &v) in cache.iter().enumerate().filter(|&(_, &v)| v != DIRTY) {
+                let o = BillboardId::from_index(o);
+                let fresh = if alloc.owner_of(o) == Some(a) {
+                    alloc.marginal_loss_of(a, o)
+                } else {
+                    alloc.marginal_gain(a, o)
+                };
+                assert_eq!(v, fresh, "advertiser {ai}, billboard {o}");
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    /// Fills every advertiser's whole marginal cache through the scans'
+    /// own prefetch: losses of its members, gains of every other
+    /// billboard.
+    #[cfg(test)]
+    fn fill_marginals(&mut self, alloc: &Allocation<'_>) {
+        self.drain(alloc);
+        for ai in 0..alloc.n_advertisers() {
+            let a = AdvertiserId::from_index(ai);
+            let rows = self.refresh_covered(alloc, a);
+            let bits = rows.map(|rows| self.covered[ai].bits(rows));
+            let others: Vec<BillboardId> = (0..alloc.instance().model.n_billboards())
+                .map(BillboardId::from_index)
+                .filter(|&o| alloc.owner_of(o) != Some(a))
+                .collect();
+            Self::prefetch(
+                &mut self.marginal[ai],
+                alloc,
+                a,
+                bits,
+                alloc.set_of(a),
+                &others,
+            );
+        }
     }
 
     /// Whether exchanging the whole plans of `i` and `j` (the ALS move)
@@ -472,60 +608,90 @@ impl MoveEngine {
             return None;
         }
 
-        // Per-scan prefetch: unique contributions (cached, O(1) when
-        // clean) and cross-plan marginal gains (one evaluation per
-        // member, not one per pair). A disjoint pair's deltas then fold
-        // in O(1), an overlapping pair's with two exactly-once kernel
-        // passes (a counter merge walk for non-Distinct measures and
-        // over-budget bitmaps).
+        // Per-scan prefetch through the marginal caches (O(1) per clean
+        // entry): each member's unique contribution to its own plan and
+        // marginal gain to the other, and its individual influence.
         let sa: &[BillboardId] = alloc.set_of(a);
         let sb: &[BillboardId] = alloc.set_of(b);
-        let loss_a: Vec<i64> = sa
-            .iter()
-            .map(|&m| self.loss_of(alloc, a, m) as i64)
-            .collect();
-        let loss_b: Vec<i64> = sb
-            .iter()
-            .map(|&x| self.loss_of(alloc, b, x) as i64)
-            .collect();
         let rows_a = self.refresh_covered(alloc, a);
         let rows_b = self.refresh_covered(alloc, b);
         let bits_a = rows_a.map(|rows| self.covered[a.index()].bits(rows));
         let bits_b = rows_b.map(|rows| self.covered[b.index()].bits(rows));
-        let gain_a_of: Vec<i64> = sb
-            .iter()
-            .map(|&x| Self::gain_of(alloc, bits_a, a, x) as i64)
-            .collect();
-        let gain_b_of: Vec<i64> = sa
-            .iter()
-            .map(|&m| Self::gain_of(alloc, bits_b, b, m) as i64)
-            .collect();
+        let (loss_a, gain_a_of) =
+            Self::prefetch(&mut self.marginal[a.index()], alloc, a, bits_a, sa, sb);
+        let (loss_b, gain_b_of) =
+            Self::prefetch(&mut self.marginal[b.index()], alloc, b, bits_b, sb, sa);
+        let model = alloc.instance().model;
+        let infl_a: Vec<i64> = sa.iter().map(|&m| model.influence_of(m) as i64).collect();
+        let infl_b: Vec<i64> = sb.iter().map(|&x| model.influence_of(x) as i64).collect();
         let exact = bits_a.zip(bits_b);
-        let graph = alloc.instance().model.overlap_graph();
+        let graph = model.overlap_graph();
 
-        let nb = sb.len();
-        let total = sa.len() * nb;
-        let improving = |p: usize| {
-            let (mi, xi) = (p / nb, p % nb);
+        // On the exact path a swap's influence changes lie in boxes built
+        // from the prefetched integers alone (`swap_range`), and a pair —
+        // or a whole row — whose best case cannot beat the threshold is
+        // skipped before the adjacency probe and the kernel. A row is
+        // member `m` against every `x ∈ S_b`: Δ_a ∈ [min g_a − ℓ_a(m),
+        // max g_a] and Δ_b ∈ [g_b(m) − max ℓ_b, g_b(m)].
+        let (gain_a_min, gain_a_max) = min_max(&gain_a_of);
+        let loss_b_max = min_max(&loss_b).1;
+        let pair_improves = |mi: usize, xi: usize| {
             let (m, x) = (sa[mi], sb[xi]);
-            let adjacent = graph.are_adjacent(m.0, x.0);
+            let (ga, la, gb, lb) = (gain_a_of[xi], loss_a[mi], gain_b_of[mi], loss_b[xi]);
             let (di, dj) = match exact {
-                Some((ba, bb)) => (
-                    ba.swap_delta(gain_a_of[xi], loss_a[mi], m, x, adjacent),
-                    bb.swap_delta(gain_b_of[mi], loss_b[xi], x, m, adjacent),
-                ),
-                None if adjacent => return alloc.eval_cross_swap(m, x) < -threshold,
-                None => (gain_a_of[xi] - loss_a[mi], gain_b_of[mi] - loss_b[xi]),
+                Some((ba, bb)) => {
+                    let best = alloc.cross_swap_bound(
+                        a,
+                        b,
+                        swap_range(ga, la, infl_b[xi]),
+                        swap_range(gb, lb, infl_a[mi]),
+                    );
+                    if best >= -threshold {
+                        return false;
+                    }
+                    let adjacent = graph.are_adjacent(m.0, x.0);
+                    (
+                        ba.swap_delta(ga, la, m, x, adjacent),
+                        bb.swap_delta(gb, lb, x, m, adjacent),
+                    )
+                }
+                None if graph.are_adjacent(m.0, x.0) => {
+                    return alloc.eval_cross_swap(m, x) < -threshold
+                }
+                None => (ga - la, gb - lb),
             };
             alloc.eval_cross_swap_with_deltas(m, x, di, dj) < -threshold
         };
-        let hit = if total < par_min {
-            (0..total).position(improving)
-        } else {
-            (0..total).into_par_iter().position_first(improving)
+        // First improving column of row `mi`: the one pruned row scan that
+        // both the sequential and the parallel walk below run.
+        let scan_row = |mi: usize| {
+            if exact.is_some() {
+                let (gb, la) = (gain_b_of[mi], loss_a[mi]);
+                let best = alloc.cross_swap_bound(
+                    a,
+                    b,
+                    (gain_a_min - la, gain_a_max),
+                    (gb - loss_b_max, gb),
+                );
+                if best >= -threshold {
+                    return None;
+                }
+            }
+            (0..sb.len())
+                .position(|xi| pair_improves(mi, xi))
+                .map(|xi| (mi, xi))
         };
-        if let Some(p) = hit {
-            return Some((sa[p / nb], sb[p % nb]));
+        let hit = if sa.len() * sb.len() < par_min {
+            (0..sa.len()).find_map(scan_row)
+        } else {
+            (0..sa.len())
+                .into_par_iter()
+                .map(scan_row)
+                .find_first(Option::is_some)
+                .flatten()
+        };
+        if let Some((mi, xi)) = hit {
+            return Some((sa[mi], sb[xi]));
         }
         self.cross_clean[idx] = PairCert {
             ver_a: self.ver[a.index()],
@@ -563,35 +729,49 @@ impl MoveEngine {
             return None;
         }
         let sa: &[BillboardId] = alloc.set_of(a);
-        let losses: Vec<i64> = sa
-            .iter()
-            .map(|&m| self.loss_of(alloc, a, m) as i64)
-            .collect();
+        let free = alloc.free_billboards();
         let rows = self.refresh_covered(alloc, a);
         let bits = rows.map(|rows| self.covered[a.index()].bits(rows));
-        let graph = alloc.instance().model.overlap_graph();
-        let free = alloc.free_billboards();
+        // Each free billboard's gain is read once per scan, not once per
+        // member, and recomputed only where a move dirtied it.
+        let (losses, gains) =
+            Self::prefetch(&mut self.marginal[a.index()], alloc, a, bits, sa, free);
+        let model = alloc.instance().model;
+        let graph = model.overlap_graph();
+        let (gain_min, gain_max) = min_max(&gains);
         for (mi, &m) in sa.iter().enumerate() {
             let loss_m = losses[mi];
-            let improving = |&f: &BillboardId| {
-                let adjacent = graph.are_adjacent(m.0, f.0);
+            // The row bound: every free swap of `m` changes the influence
+            // by a Δ in [min g − ℓ(m), max g].
+            if bits.is_some()
+                && alloc.regret_delta_bound(a, gain_min - loss_m, gain_max) >= -threshold
+            {
+                continue;
+            }
+            let improving = |fi: usize| {
+                let (f, gain) = (free[fi], gains[fi]);
                 let change = match bits {
                     Some(bits) => {
-                        let gain = Self::gain_of(alloc, Some(bits), a, f) as i64;
-                        bits.swap_delta(gain, loss_m, m, f, adjacent)
+                        let (lo, hi) = swap_range(gain, loss_m, model.influence_of(f) as i64);
+                        if alloc.regret_delta_bound(a, lo, hi) >= -threshold {
+                            return false;
+                        }
+                        bits.swap_delta(gain, loss_m, m, f, graph.are_adjacent(m.0, f.0))
                     }
-                    None if adjacent => return alloc.eval_replace_with_free(m, f) < -threshold,
-                    None => alloc.marginal_gain(a, f) as i64 - loss_m,
+                    None if graph.are_adjacent(m.0, f.0) => {
+                        return alloc.eval_replace_with_free(m, f) < -threshold
+                    }
+                    None => gain - loss_m,
                 };
                 alloc.regret_delta_of_change(a, change) < -threshold
             };
             let hit = if free.len() < par_min {
-                free.iter().position(improving)
+                (0..free.len()).position(improving)
             } else {
-                free.par_iter().position_first(improving)
+                (0..free.len()).into_par_iter().position_first(improving)
             };
-            if let Some(p) = hit {
-                return Some((m, free[p]));
+            if let Some(fi) = hit {
+                return Some((m, free[fi]));
             }
         }
         self.free_clean[a.index()] = ScanCert {
@@ -659,12 +839,14 @@ mod tests {
         })
     }
 
+    /// Coverage lists, trajectory count, an owner per billboard
+    /// (`>= advertisers.len()` means free) and `(demand, payment)` pairs.
+    type WideCase = (Vec<Vec<u32>>, u32, Vec<usize>, Vec<(u64, f64)>);
+
     /// Models with 1–1,300 trajectories, so bitmap rows span up to 21
     /// words — several 8-word kernel chunks plus ragged tails — with a
-    /// random owner per billboard (`>= advertisers.len()` means free).
-    #[allow(clippy::type_complexity)]
-    fn arb_wide_instance(
-    ) -> impl Strategy<Value = (Vec<Vec<u32>>, u32, Vec<usize>, Vec<(u64, f64)>)> {
+    /// random owner per billboard.
+    fn arb_wide_instance() -> impl Strategy<Value = WideCase> {
         (1u32..1301).prop_flat_map(|n_t| {
             let lists =
                 proptest::collection::vec(proptest::collection::btree_set(0..n_t, 0..200), 2..12)
@@ -677,6 +859,11 @@ mod tests {
             let advertisers = proptest::collection::vec((1u64..400, 1.0..100.0f64), 1..4);
             (lists, Just(n_t), owners, advertisers)
         })
+    }
+
+    /// γ at both ends of its range and in between.
+    fn arb_gamma() -> impl Strategy<Value = f64> {
+        (0usize..3, 0.0..=1.0f64).prop_map(|(k, g)| [0.0, g, 1.0][k])
     }
 
     fn arb_measure() -> impl Strategy<Value = InfluenceMeasure> {
@@ -767,6 +954,65 @@ mod tests {
         }
     }
 
+    /// The exactly-once identity on multi-word rows: for every (member,
+    /// foreign member) and (member, free) pair, overlapping pairs
+    /// included, the engine's integer swap delta equals the counter merge
+    /// walk on both sides. Then the finders replay against the naive
+    /// scans on the same wide model at improvement ratio `ratio`.
+    fn check_wide_rows((lists, n_t, owners, advs): WideCase, gamma: f64, ratio: f64) {
+        let n_b = lists.len();
+        let model = CoverageModel::from_lists(lists, n_t as usize).with_bitmap_budget(usize::MAX);
+        let n_a = advs.len();
+        let advertisers =
+            AdvertiserSet::new(advs.iter().map(|&(d, p)| Advertiser::new(d, p)).collect());
+        let mut sets = vec![Vec::new(); n_a];
+        for (b, &owner) in owners.iter().take(n_b).enumerate() {
+            if owner < n_a {
+                sets[owner].push(BillboardId::from_index(b));
+            }
+        }
+        let inst = Instance::new(&model, &advertisers, gamma);
+        let mut naive = Allocation::from_sets(inst, &sets);
+        let mut lazy = Allocation::from_sets(inst, &sets);
+        let mut engine = MoveEngine::new(&lazy);
+        let counters: Vec<CoverageCounter> = sets
+            .iter()
+            .map(|set| {
+                let mut c = CoverageCounter::dense(n_t as usize);
+                for &m in set {
+                    c.add(model.coverage(m));
+                }
+                c
+            })
+            .collect();
+        let walk = |a: usize, out: BillboardId, inn: BillboardId| {
+            counters[a].swap_delta(model.coverage(out), model.coverage(inn))
+        };
+        for a in 0..n_a {
+            let aid = AdvertiserId::from_index(a);
+            for &m in &sets[a] {
+                for b in (0..n_a).filter(|&b| b != a) {
+                    let bid = AdvertiserId::from_index(b);
+                    for &x in &sets[b] {
+                        assert_eq!(engine.exact_swap_delta(&lazy, aid, m, x), walk(a, m, x));
+                        assert_eq!(engine.exact_swap_delta(&lazy, bid, x, m), walk(b, x, m));
+                    }
+                }
+                for &f in lazy.free_billboards() {
+                    assert_eq!(engine.exact_swap_delta(&lazy, aid, m, f), walk(a, m, f));
+                }
+            }
+        }
+        let params = Bls {
+            improvement_ratio: ratio,
+            ..Bls::default()
+        };
+        if let Err(msg) = replay_moves_in_lockstep(&mut naive, &mut lazy, &mut engine, &params) {
+            panic!("{msg}");
+        }
+        lazy.check_invariants();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -813,65 +1059,11 @@ mod tests {
             }
         }
 
-        /// The exactly-once identity on multi-word rows: for every
-        /// (member, foreign member) and (member, free) pair, overlapping
-        /// pairs included, the engine's integer swap delta equals the
-        /// counter merge walk on both sides. Then the finders replay
-        /// against the naive scans on the same wide model.
+        /// The exactly-once identity on multi-word rows, at γ = 0.5 and
+        /// `r = 0`; the ignored `_long` twin below varies both.
         #[test]
-        fn exact_swap_deltas_match_counter_walks_on_wide_rows(
-            (lists, n_t, owners, advs) in arb_wide_instance(),
-        ) {
-            let n_b = lists.len();
-            let model = CoverageModel::from_lists(lists, n_t as usize)
-                .with_bitmap_budget(usize::MAX);
-            let n_a = advs.len();
-            let advertisers = AdvertiserSet::new(
-                advs.iter().map(|&(d, p)| Advertiser::new(d, p)).collect(),
-            );
-            let mut sets = vec![Vec::new(); n_a];
-            for (b, &owner) in owners.iter().take(n_b).enumerate() {
-                if owner < n_a {
-                    sets[owner].push(BillboardId::from_index(b));
-                }
-            }
-            let inst = Instance::new(&model, &advertisers, 0.5);
-            let mut naive = Allocation::from_sets(inst, &sets);
-            let mut lazy = Allocation::from_sets(inst, &sets);
-            let mut engine = MoveEngine::new(&lazy);
-            let counters: Vec<CoverageCounter> = sets
-                .iter()
-                .map(|set| {
-                    let mut c = CoverageCounter::dense(n_t as usize);
-                    for &m in set {
-                        c.add(model.coverage(m));
-                    }
-                    c
-                })
-                .collect();
-            let walk = |a: usize, out: BillboardId, inn: BillboardId| {
-                counters[a].swap_delta(model.coverage(out), model.coverage(inn))
-            };
-            for a in 0..n_a {
-                let aid = AdvertiserId::from_index(a);
-                for &m in &sets[a] {
-                    for b in (0..n_a).filter(|&b| b != a) {
-                        let bid = AdvertiserId::from_index(b);
-                        for &x in &sets[b] {
-                            prop_assert_eq!(engine.exact_swap_delta(&lazy, aid, m, x), walk(a, m, x));
-                            prop_assert_eq!(engine.exact_swap_delta(&lazy, bid, x, m), walk(b, x, m));
-                        }
-                    }
-                    for &f in lazy.free_billboards() {
-                        prop_assert_eq!(engine.exact_swap_delta(&lazy, aid, m, f), walk(a, m, f));
-                    }
-                }
-            }
-            let params = Bls::default();
-            if let Err(msg) = replay_moves_in_lockstep(&mut naive, &mut lazy, &mut engine, &params) {
-                prop_assert!(false, "{}", msg);
-            }
-            lazy.check_invariants();
+        fn exact_swap_deltas_match_counter_walks_on_wide_rows(case in arb_wide_instance()) {
+            check_wide_rows(case, 0.5, 0.0);
         }
 
         /// Finer grain than the end-to-end test: every individual move
@@ -898,6 +1090,148 @@ mod tests {
                 prop_assert!(false, "{}", msg);
             }
             lazy.check_invariants();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        #[ignore = "long run: CI runs it with --include-ignored"]
+        fn exact_swap_deltas_match_counter_walks_on_wide_rows_long(
+            case in arb_wide_instance(),
+            gamma in arb_gamma(),
+            ratio in (0usize..3).prop_map(|i| [0.0, 0.01, 0.05][i]),
+        ) {
+            check_wide_rows(case, gamma, ratio);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scans' pruning bounds are float-exact lower bounds: at every
+        /// point of small integer boxes — straddling, touching or away
+        /// from each demand, zero-width included — the exact evaluation is
+        /// no lower than the bound, compared without tolerance, and some
+        /// point attains it.
+        #[test]
+        fn best_case_bounds_never_exceed_exact_evaluations(
+            sides in proptest::collection::vec(
+                (
+                    1u64..60,
+                    (0usize..4, 0.0..1e4f64).prop_map(|(k, p)| if k == 0 { 0.0 } else { p }),
+                    0u32..60,
+                    -8i64..8,
+                    0i64..6,
+                ),
+                2,
+            ),
+            gamma in arb_gamma(),
+        ) {
+            // Billboard k alone makes up advertiser k's plan.
+            let influences: Vec<u32> = sides.iter().map(|s| s.2).collect();
+            let model = crate::testutil::disjoint_model(&influences);
+            let advs = AdvertiserSet::new(
+                sides.iter().map(|&(d, p, ..)| Advertiser::new(d, p)).collect(),
+            );
+            let inst = Instance::new(&model, &advs, gamma);
+            let alloc = Allocation::from_sets(inst, &[vec![BillboardId(0)], vec![BillboardId(1)]]);
+            // Box k starts `rel` changes away from the one that reaches
+            // the demand, and never below zero influence.
+            let boxes: Vec<(i64, i64)> = sides
+                .iter()
+                .map(|&(d, _, infl, rel, width)| {
+                    let lo = (d as i64 - infl as i64 + rel).max(-(infl as i64));
+                    (lo, lo + width)
+                })
+                .collect();
+            let (a, b) = (AdvertiserId(0), AdvertiserId(1));
+            let (m, x) = (BillboardId(0), BillboardId(1));
+            for (k, &(lo, hi)) in boxes.iter().enumerate() {
+                let adv = AdvertiserId::from_index(k);
+                let bound = alloc.regret_delta_bound(adv, lo, hi);
+                let exact: Vec<f64> =
+                    (lo..=hi).map(|d| alloc.regret_delta_of_change(adv, d)).collect();
+                prop_assert!(exact.iter().all(|&e| bound <= e), "side {}: {} vs {:?}", k, bound, exact);
+                prop_assert!(exact.contains(&bound));
+            }
+            let bound = alloc.cross_swap_bound(a, b, boxes[0], boxes[1]);
+            let mut attained = false;
+            for di in boxes[0].0..=boxes[0].1 {
+                for dj in boxes[1].0..=boxes[1].1 {
+                    let exact = alloc.eval_cross_swap_with_deltas(m, x, di, dj);
+                    prop_assert!(bound <= exact, "({}, {}): {} vs {}", di, dj, bound, exact);
+                    attained |= exact == bound;
+                }
+            }
+            prop_assert!(attained);
+        }
+    }
+
+    /// Every cached marginal — a member's unique contribution, a
+    /// non-member's marginal gain — stays exact across each kind of
+    /// committed move: the whole cache is filled before a move and every
+    /// entry the move left clean is recounted after it.
+    #[test]
+    fn cached_marginals_stay_exact_across_moves() {
+        // Overlapping chain: billboard b covers {b, b+1, b+3}.
+        let lists: Vec<Vec<u32>> = (0..16u32).map(|b| vec![b, b + 1, b + 3]).collect();
+        let model = CoverageModel::from_lists(lists, 19);
+        let advs = AdvertiserSet::new(vec![
+            Advertiser::new(9, 14.0),
+            Advertiser::new(6, 8.0),
+            Advertiser::new(12, 10.0),
+        ]);
+        for measure in [
+            InfluenceMeasure::Distinct,
+            InfluenceMeasure::Impressions { k: 2 },
+            InfluenceMeasure::Volume,
+        ] {
+            let inst = Instance::with_measure(&model, &advs, 0.5, measure);
+            let mut alloc = Allocation::from_sets(
+                inst,
+                &[
+                    crate::testutil::ids(&[0, 1, 2]),
+                    crate::testutil::ids(&[4, 5]),
+                    crate::testutil::ids(&[7, 8]),
+                ],
+            );
+            let mut engine = MoveEngine::new(&alloc);
+            type Commit = fn(&mut Allocation<'_>);
+            let moves: [(&str, Commit); 4] = [
+                ("assign", |al| al.assign(BillboardId(3), AdvertiserId(0))),
+                ("release", |al| al.release(BillboardId(1))),
+                ("cross swap", |al| {
+                    al.cross_swap(BillboardId(0), BillboardId(5))
+                }),
+                ("plan exchange", |al| {
+                    al.exchange_plans(AdvertiserId(0), AdvertiserId(2))
+                }),
+            ];
+            for (name, commit) in moves {
+                engine.fill_marginals(&alloc);
+                commit(&mut alloc);
+                assert!(
+                    engine.assert_marginals_exact(&alloc) > 0,
+                    "{measure:?} {name}"
+                );
+            }
+            // Move 4's adoption: a greedy completion forked from the
+            // synced allocation replaces it wholesale.
+            engine.fill_marginals(&alloc);
+            let fork = engine.sync(&alloc);
+            let mut candidate = alloc.scratch_clone();
+            crate::greedy::synchronous_greedy(&mut candidate);
+            assert!(
+                candidate.event_cursor() > fork,
+                "{measure:?}: completion assigned nothing"
+            );
+            alloc = candidate;
+            assert!(
+                engine.assert_marginals_exact(&alloc) > 0,
+                "{measure:?} adoption"
+            );
         }
     }
 

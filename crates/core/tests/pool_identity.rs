@@ -8,7 +8,8 @@
 //! child marker in the environment, and compares the `DIGEST` lines the
 //! children print. The child runs the full nested stack — ALS/BLS
 //! restart portfolios on the pool over `MoveEngine`'s parallel cross- and
-//! free-swap scans — on a disjoint-coverage fixture large enough to cross
+//! free-swap scans, which prune with the same best-case bounds as the
+//! sequential ones — on a disjoint-coverage fixture large enough to cross
 //! the move scans' parallel-dispatch threshold. G-Global's pick scans are
 //! sequential at every width.
 
@@ -21,8 +22,10 @@ const CHILD_ENV: &str = "MROAM_POOL_IDENTITY_CHILD";
 /// Disjoint-coverage fixture (the `disjoint_model` shape shared by the
 /// unit suites): billboard `k` covers its own private block of
 /// trajectories, sized by a little deterministic LCG so influences vary.
-/// 600 billboards comfortably exceeds the 256-candidate parallel-scan
-/// threshold (`moves::PAR_SCAN_MIN`), so the parallel move scans engage.
+/// With 600 billboards over 8 advertisers, a cross-swap scan's
+/// `|S_a|·|S_b|` pairs comfortably exceed the 256-candidate parallel-scan
+/// threshold (`moves::PAR_SCAN_MIN`), so the parallel move scans engage;
+/// the threshold is checked before pruning, so skipped pairs still count.
 fn fixture_model() -> CoverageModel {
     let n_b = 600usize;
     let mut lists = Vec::with_capacity(n_b);

@@ -115,6 +115,20 @@ impl BitSet {
     }
 }
 
+/// Number of distinct ids across `lists`, every id `< capacity`: the
+/// size of their union, counted by setting bits in a
+/// `⌈capacity/64⌉`-word scratch and taking its [`kernel::popcount`].
+/// Coverage reads (`I(S)` of a billboard set) count through it.
+pub fn distinct_count<'l>(capacity: usize, lists: impl IntoIterator<Item = &'l [u32]>) -> u64 {
+    let mut seen = BitSet::new(capacity);
+    for list in lists {
+        for &id in list {
+            seen.insert(id as usize);
+        }
+    }
+    seen.len() as u64
+}
+
 impl FromIterator<usize> for BitSet {
     /// Builds a set sized to the maximum id in the iterator.
     fn from_iter<T: IntoIterator<Item = usize>>(iter: T) -> Self {

@@ -1,7 +1,6 @@
 //! The coverage model: everything the MROAM algorithms need to evaluate
 //! influence, packaged immutably.
 
-use crate::counter::CoverageCounter;
 use crate::meets;
 use mroam_data::{BillboardId, BillboardStore, Col, TrajectoryStore};
 use rayon::prelude::*;
@@ -1032,11 +1031,10 @@ impl CoverageModel {
     where
         I: IntoIterator<Item = BillboardId>,
     {
-        let mut counter = CoverageCounter::sparse();
-        for id in set {
-            counter.add(self.coverage(id));
-        }
-        counter.covered()
+        crate::bitset::distinct_count(
+            self.n_trajectories,
+            set.into_iter().map(|id| self.coverage(id)),
+        )
     }
 
     /// Influence of an arbitrary billboard set under an explicit
@@ -1464,6 +1462,38 @@ mod tests {
             let lists: Vec<Vec<u32>> =
                 lists.into_iter().map(|s| s.into_iter().collect()).collect();
             assert_parallel_builds_match(&lists, 300);
+        }
+
+        /// `set_influence` counts through the bitset scratch exactly as a
+        /// sparse counter does, over sets with repeated billboards, the
+        /// empty set, and the last trajectory id `n_t − 1` always covered.
+        #[test]
+        fn set_influence_matches_a_sparse_counter(
+            (lists, n_t) in (1u32..300).prop_flat_map(|n_t| (
+                proptest::collection::vec(
+                    proptest::collection::btree_set(0..n_t, 0..40), 1..12),
+                Just(n_t),
+            )),
+            picks in proptest::collection::vec(0usize..64, 0..16),
+        ) {
+            let mut lists: Vec<Vec<u32>> =
+                lists.into_iter().map(|s| s.into_iter().collect()).collect();
+            if lists[0].last() != Some(&(n_t - 1)) {
+                lists[0].push(n_t - 1);
+            }
+            let m = CoverageModel::from_lists(lists, n_t as usize);
+            let set: Vec<BillboardId> = picks
+                .iter()
+                .map(|&p| BillboardId::from_index(p % m.n_billboards()))
+                .collect();
+            let mut oracle = crate::counter::CoverageCounter::sparse();
+            for &b in &set {
+                oracle.add(m.coverage(b));
+            }
+            prop_assert_eq!(m.set_influence(set.iter().copied()), oracle.covered());
+            let twice = set.iter().chain(&set).copied();
+            prop_assert_eq!(m.set_influence(twice), oracle.covered());
+            prop_assert_eq!(m.set_influence([BillboardId(0)]), m.influence_of(BillboardId(0)));
         }
     }
 }

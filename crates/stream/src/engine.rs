@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use mroam_data::{BillboardId, BillboardStore, StoreError, TrajectoryStore};
 use mroam_geo::{GridIndex, Point};
-use mroam_influence::{CoverageCounter, CoverageDelta, CoverageModel};
+use mroam_influence::bitset::distinct_count;
+use mroam_influence::{CoverageDelta, CoverageModel};
 
 use crate::delta::{
     BillboardEvent, CompactionReport, EpochStats, IngestBatch, IngestError, IngestReport,
@@ -433,19 +434,21 @@ impl StreamEngine {
     /// Merged influence `I(S)` at the current epoch, evaluated over
     /// base + overlay without materializing anything.
     pub fn set_influence(&self, set: &[u32]) -> u64 {
-        let mut counter = CoverageCounter::sparse();
-        for &b in set {
-            if self.retired[b as usize] {
-                continue;
-            }
-            if (b as usize) < self.overlay.base_n_billboards() {
-                counter.add(self.base.coverage(BillboardId(b)));
-                counter.add(self.overlay.appended_to(b));
-            } else {
-                counter.add(self.overlay.new_billboard_coverage(b));
-            }
-        }
-        counter.covered()
+        let base_n = self.overlay.base_n_billboards();
+        let lists = set
+            .iter()
+            .filter(|&&b| !self.retired[b as usize])
+            .flat_map(|&b| {
+                if (b as usize) < base_n {
+                    [
+                        self.base.coverage(BillboardId(b)),
+                        self.overlay.appended_to(b),
+                    ]
+                } else {
+                    [self.overlay.new_billboard_coverage(b), &[]]
+                }
+            });
+        distinct_count(self.n_trajectories, lists)
     }
 
     /// Merged coverage list of billboard `b` at the current epoch.

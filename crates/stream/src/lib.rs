@@ -126,6 +126,43 @@ mod tests {
         assert_matches_reference(&e);
     }
 
+    /// The merged `I(S)` read counts like a sparse counter over the
+    /// merged lists, with a retired billboard, a base billboard with an
+    /// appended trajectory, a new billboard, repeats, the empty set and
+    /// the newest trajectory id `n_t − 1` in play.
+    #[test]
+    fn set_influence_matches_a_sparse_counter_over_merged_lists() {
+        let mut e = engine();
+        e.ingest(&IngestBatch {
+            billboard_events: vec![
+                BillboardEvent::Retire { id: 0 },
+                BillboardEvent::Add {
+                    location: Point::new(200.0, 20.0),
+                },
+            ],
+            trajectories: vec![near(200.0)],
+        })
+        .unwrap();
+        let newest = e.n_trajectories() as u32 - 1;
+        assert!(e.coverage_merged(1).contains(&newest));
+        assert!(e.coverage_merged(3).contains(&newest));
+        for set in [
+            &[][..],
+            &[0],
+            &[1],
+            &[3, 3],
+            &[1, 3],
+            &[0, 1, 2, 3],
+            &[2, 1, 0, 3, 1, 2],
+        ] {
+            let mut oracle = mroam_influence::CoverageCounter::sparse();
+            for &b in set {
+                oracle.add(&e.coverage_merged(b));
+            }
+            assert_eq!(e.set_influence(set), oracle.covered(), "set {set:?}");
+        }
+    }
+
     #[test]
     fn billboard_add_covers_past_and_batch_trajectories() {
         let mut e = engine();

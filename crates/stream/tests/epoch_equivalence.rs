@@ -11,7 +11,9 @@
 use mroam_core::prelude::*;
 use mroam_data::{BillboardId, BillboardStore, TrajectoryStore};
 use mroam_geo::Point;
-use mroam_influence::{CoverageBitmap, CoverageModel, InvertedIndex, OverlapGraph};
+use mroam_influence::{
+    CoverageBitmap, CoverageCounter, CoverageModel, InvertedIndex, OverlapGraph,
+};
 use mroam_stream::{BillboardEvent, IngestBatch, StreamEngine, TrajectoryDelta};
 use proptest::prelude::*;
 
@@ -60,6 +62,21 @@ fn assert_epoch_equivalent(e: &StreamEngine) {
         e.set_influence(&evens),
         r.set_influence(evens.iter().map(|&b| BillboardId(b)))
     );
+
+    // The merged read against a sparse-counter oracle over the merged
+    // lists: retired, appended-to and new billboards, each set once and
+    // with every billboard repeated, and the empty set.
+    let oracle = |set: &[u32]| {
+        let mut c = CoverageCounter::sparse();
+        for &b in set {
+            c.add(&e.coverage_merged(b));
+        }
+        c.covered()
+    };
+    let repeated: Vec<u32> = all.iter().flat_map(|&b| [b, b]).collect();
+    for set in [&[][..], &all, &evens, &repeated] {
+        assert_eq!(e.set_influence(set), oracle(set), "set {set:?}");
+    }
 }
 
 fn advertisers() -> AdvertiserSet {
