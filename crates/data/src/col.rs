@@ -13,13 +13,11 @@
 //! the bottom ([`put_pod_section`], [`read_pod_vec`], [`align8`]) write
 //! and read the influence crate's model file sections.
 
-#[cfg(feature = "mmap")]
 use crate::mmap::Mmap;
-#[cfg(feature = "mmap")]
 use std::sync::Arc;
 
-#[cfg(all(feature = "mmap", target_endian = "big"))]
-compile_error!("the mmap feature requires a little-endian target (zero-copy sections are LE)");
+#[cfg(target_endian = "big")]
+compile_error!("mapped model columns require a little-endian target (zero-copy sections are LE)");
 
 /// Marker for types whose values are plain bytes: fixed size, no padding,
 /// no niches, any bit pattern valid, no drop glue.
@@ -44,7 +42,6 @@ pub struct Col<T: Pod> {
 enum Inner<T: Pod> {
     Owned(Vec<T>),
     /// `len` records of `T` starting `offset` bytes into the mapping.
-    #[cfg(feature = "mmap")]
     Mapped {
         map: Arc<Mmap>,
         offset: usize,
@@ -63,7 +60,6 @@ impl<T: Pod> Col<T> {
     /// Wraps `len` records starting at byte `offset` of `map`. Panics if
     /// the region is out of bounds or misaligned for `T` — both indicate a
     /// corrupt or mislaid section table, never a data-dependent condition.
-    #[cfg(feature = "mmap")]
     pub fn mapped(map: Arc<Mmap>, offset: usize, len: usize) -> Self {
         let bytes = len
             .checked_mul(std::mem::size_of::<T>())
@@ -91,7 +87,6 @@ impl<T: Pod> Col<T> {
     pub fn as_slice(&self) -> &[T] {
         match &self.inner {
             Inner::Owned(v) => v,
-            #[cfg(feature = "mmap")]
             Inner::Mapped { map, offset, len } => {
                 // SAFETY: bounds and alignment checked at construction;
                 // T: Pod makes any bit pattern valid; the Arc keeps the
@@ -110,7 +105,6 @@ impl<T: Pod> Col<T> {
     pub fn is_mapped(&self) -> bool {
         match &self.inner {
             Inner::Owned(_) => false,
-            #[cfg(feature = "mmap")]
             Inner::Mapped { .. } => true,
         }
     }
@@ -119,7 +113,6 @@ impl<T: Pod> Col<T> {
     pub fn heap_bytes(&self) -> usize {
         match &self.inner {
             Inner::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
-            #[cfg(feature = "mmap")]
             Inner::Mapped { .. } => 0,
         }
     }
@@ -128,7 +121,6 @@ impl<T: Pod> Col<T> {
     pub fn mapped_bytes(&self) -> usize {
         match &self.inner {
             Inner::Owned(_) => 0,
-            #[cfg(feature = "mmap")]
             Inner::Mapped { len, .. } => len * std::mem::size_of::<T>(),
         }
     }
@@ -164,7 +156,6 @@ impl<T: Pod> Clone for Col<T> {
             Inner::Owned(v) => Self {
                 inner: Inner::Owned(v.clone()),
             },
-            #[cfg(feature = "mmap")]
             Inner::Mapped { map, offset, len } => Self {
                 inner: Inner::Mapped {
                     map: Arc::clone(map),
@@ -269,7 +260,6 @@ mod tests {
         assert_eq!(used, 16);
     }
 
-    #[cfg(feature = "mmap")]
     #[test]
     fn mapped_view_equals_heap() {
         use std::io::Write;

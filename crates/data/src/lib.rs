@@ -18,7 +18,6 @@ pub mod billboard;
 pub mod col;
 pub mod csv;
 pub mod ids;
-#[cfg(feature = "mmap")]
 pub mod mmap;
 pub mod stats;
 pub mod trajectory;

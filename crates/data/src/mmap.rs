@@ -1,4 +1,4 @@
-//! Read-only memory mappings (the `mmap` cargo feature).
+//! Read-only memory mappings of model files.
 //!
 //! The scale layer keeps multi-gigabyte columns (the coverage model's
 //! CSRs) on disk and maps them instead of reading them into anonymous

@@ -1,7 +1,9 @@
 //! Tiny command-line argument parsing shared by the experiment binaries.
 //!
 //! Hand-rolled (`--key value` pairs only) to stay within the approved
-//! dependency set; each binary documents the keys it reads.
+//! dependency set. Each binary passes the keys it reads, and any other
+//! key is refused, so a misspelt or retired flag cannot silently fall
+//! back to its default.
 
 use crate::setup::{CityKind, Scale};
 use std::collections::BTreeMap;
@@ -13,26 +15,45 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses from an iterator of raw arguments (excluding `argv[0]`).
-    /// Panics with a usage hint on malformed input.
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Self {
+    /// Parses raw arguments (excluding `argv[0]`) as `--key value`
+    /// pairs whose keys are all in `accepted`. The error names the bad
+    /// argument; for an unknown key it also lists `accepted`.
+    pub fn try_parse<I: IntoIterator<Item = String>>(
+        raw: I,
+        accepted: &[&str],
+    ) -> Result<Self, String> {
         let mut values = BTreeMap::new();
         let mut it = raw.into_iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
-                panic!("expected --key, got {key:?}");
+                return Err(format!("expected --key, got {key:?}"));
             };
-            let value = it
-                .next()
-                .unwrap_or_else(|| panic!("missing value for --{name}"));
+            if !accepted.contains(&name) {
+                let keys: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown option --{name}; accepted: {}",
+                    keys.join(" ")
+                ));
+            }
+            let Some(value) = it.next() else {
+                return Err(format!("missing value for --{name}"));
+            };
             values.insert(name.to_string(), value);
         }
-        Self { values }
+        Ok(Self { values })
     }
 
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// [`Args::try_parse`], printing the error and exiting 2 on failure.
+    pub fn parse<I: IntoIterator<Item = String>>(raw: I, accepted: &[&str]) -> Self {
+        Self::try_parse(raw, accepted).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the process arguments; see [`Args::parse`].
+    pub fn from_env(accepted: &[&str]) -> Self {
+        Self::parse(std::env::args().skip(1), accepted)
     }
 
     /// Raw string lookup.
@@ -87,8 +108,14 @@ impl Args {
 mod tests {
     use super::*;
 
+    const KEYS: &[&str] = &["scale", "seed", "city", "memory", "verbose"];
+
+    fn try_parse(args: &[&str]) -> Result<Args, String> {
+        Args::try_parse(args.iter().map(|s| s.to_string()), KEYS)
+    }
+
     fn parse(args: &[&str]) -> Args {
-        Args::parse(args.iter().map(|s| s.to_string()))
+        try_parse(args).unwrap()
     }
 
     #[test]
@@ -123,15 +150,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected --key")]
     fn positional_arguments_rejected() {
-        let _ = parse(&["bench"]);
+        assert_eq!(
+            try_parse(&["bench"]).unwrap_err(),
+            "expected --key, got \"bench\""
+        );
     }
 
     #[test]
-    #[should_panic(expected = "missing value")]
     fn dangling_key_rejected() {
-        let _ = parse(&["--scale"]);
+        assert_eq!(
+            try_parse(&["--scale"]).unwrap_err(),
+            "missing value for --scale"
+        );
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_by_name() {
+        let err = try_parse(&["--scale", "test", "--shards", "4"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown option --shards; accepted: --scale --seed --city --memory --verbose"
+        );
+        // A key is checked before its value is read.
+        assert!(try_parse(&["--zipf"]).unwrap_err().contains("--zipf"));
     }
 
     #[test]

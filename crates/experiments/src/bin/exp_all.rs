@@ -19,7 +19,7 @@ use mroam_experiments::{build_city, Args, CityKind};
 use mroam_influence::curves;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["scale", "seed", "model-cache-dir"]);
     let scale = args.scale();
     let seed = args.seed();
 

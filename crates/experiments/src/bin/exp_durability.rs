@@ -12,21 +12,19 @@
 //! prune exactly as the serve command loop does):
 //!
 //! * **append overhead** — wall time of `--days` days with no WAL vs
-//!   WAL'd under each fsync policy (`record`, `batch`, `interval:5ms`).
-//!   The per-day delta is the price of durability; the fsync counters
-//!   show *why* the policies differ.
+//!   WAL'd (every record fsynced before it applies). The per-day delta
+//!   is the price of durability; the fsync counter shows what it buys.
 //! * **recovery** — `recover()` wall time from the newest snapshot (the
 //!   steady-state restart: short suffix) and from a genesis-only
 //!   directory (the worst case: every day replays).
 //! * **verify** — wall time of the `wal-replay --verify` equivalent:
 //!   independent replay from every snapshot on disk.
 //!
-//! Correctness gates run before any timing: each WAL'd run's ledger must
-//! be bit-identical to the unlogged run's, and recovery from each
-//! policy's directory must land on that same ledger.
+//! Correctness gates run before any timing: the WAL'd run's ledger must
+//! be bit-identical to the unlogged run's, and recovery from its
+//! directory must land on that same ledger.
 
 use std::path::Path;
-use std::time::Duration;
 
 use mroam_core::solver::SolverSpec;
 use mroam_experiments::record::{host_threads, time_mean, Record};
@@ -38,7 +36,7 @@ use mroam_market::{DayRecord, ProposalGenerator};
 use mroam_stream::StreamEngine;
 use mroam_wal::state::{encode, list_snapshots, write_snapshot_file};
 use mroam_wal::testutil::TempDir;
-use mroam_wal::{recover, SyncPolicy, WalOptions, WalRecord, WalWriter};
+use mroam_wal::{recover, SharedWal, WalOptions, WalRecord};
 
 fn host_config(seed: u64) -> HostConfig {
     HostConfig {
@@ -58,26 +56,25 @@ fn generator(model: &CoverageModel, seed: u64) -> ProposalGenerator {
 }
 
 /// One served life: `days` days against a fresh host on the engine's
-/// base, WAL'd under `policy` into `dir` (serve-equivalent: genesis
-/// snapshot, log-before-apply, periodic snapshot + mark + prune) or
-/// unlogged when `dir` is `None`. Returns the final ledger and the WAL's
-/// fsync count.
+/// base, WAL'd into `dir` (serve-equivalent: genesis snapshot,
+/// log-before-apply, periodic sync + snapshot + mark + prune, a final
+/// sync) or unlogged when `dir` is `None`. Returns the final ledger and
+/// the WAL's fsync count.
 fn run_days(
     dir: Option<&Path>,
     engine: &StreamEngine,
     days: u32,
     snapshot_every: u32,
     seed: u64,
-    policy: SyncPolicy,
 ) -> (Vec<DayRecord>, u64) {
     let g = generator(engine.model(), seed);
     let mut host = Host::new(engine.model(), host_config(seed));
-    let mut wal = dir.map(|dir| {
-        let wal = WalWriter::open(
+    let wal = dir.map(|dir| {
+        let wal = SharedWal::open(
             dir,
             WalOptions {
-                sync: policy,
                 segment_bytes: 64 * 1024, // rotate a few times per life
+                ..WalOptions::default()
             },
         )
         .expect("open wal");
@@ -88,19 +85,18 @@ fn run_days(
     let mut last_snap = 0u64;
     for day in 0..days {
         let batch = g.day_batch(day);
-        if let Some(wal) = wal.as_mut() {
+        if let Some(wal) = &wal {
             wal.append(&WalRecord::RunDay {
                 day,
                 proposals: batch.clone(),
             })
             .expect("append");
-            wal.batch_boundary().expect("batch boundary");
         }
         host.run_day(&batch);
         since_snap += 1;
         if since_snap >= snapshot_every {
             since_snap = 0;
-            if let Some(wal) = wal.as_mut() {
+            if let Some(wal) = &wal {
                 let dir = dir.unwrap();
                 wal.sync().expect("pre-snapshot sync");
                 let watermark = wal.next_seq() - 1;
@@ -123,7 +119,7 @@ fn run_days(
             }
         }
     }
-    let fsyncs = wal.as_mut().map_or(0, |w| {
+    let fsyncs = wal.as_ref().map_or(0, |w| {
         w.sync().expect("final sync");
         w.stats().fsyncs
     });
@@ -131,7 +127,7 @@ fn run_days(
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["days", "iters", "snapshot-every", "date", "out"]);
     let days = args.usize_or("days", 64) as u32;
     let iters = args.usize_or("iters", 3);
     let snapshot_every = args.usize_or("snapshot-every", 8) as u32;
@@ -145,114 +141,49 @@ fn main() {
         engine.model().n_trajectories()
     );
 
-    let policies: [(&str, SyncPolicy); 3] = [
-        ("record", SyncPolicy::PerRecord),
-        ("batch", SyncPolicy::PerBatch),
-        (
-            "interval_5ms",
-            SyncPolicy::Interval(Duration::from_millis(5)),
-        ),
-    ];
-
     // ---- correctness gates (before any timing) -----------------------
-    let (baseline_ledger, _) = run_days(
-        None,
-        &engine,
-        days,
-        snapshot_every,
-        seed,
-        SyncPolicy::PerBatch,
+    let (baseline_ledger, _) = run_days(None, &engine, days, snapshot_every, seed);
+    let dir = TempDir::new("durability-gate");
+    let (ledger, fsyncs) = run_days(Some(dir.path()), &engine, days, snapshot_every, seed);
+    assert_eq!(
+        ledger, baseline_ledger,
+        "WAL'd run diverges from unlogged run"
     );
-    for (name, policy) in policies {
-        let dir = TempDir::new(&format!("durability-gate-{name}"));
-        let (ledger, fsyncs) = run_days(
-            Some(dir.path()),
-            &engine,
-            days,
-            snapshot_every,
-            seed,
-            policy,
-        );
-        assert_eq!(
-            ledger, baseline_ledger,
-            "{name}: WAL'd run diverges from unlogged run"
-        );
-        assert!(fsyncs > 0, "{name}: no fsync ever happened");
-        let (world, report) = recover(dir.path()).expect("recovery");
-        assert_eq!(world.day(), days, "{name}: recovery day");
-        assert_eq!(
-            &world.ledger().days,
-            &baseline_ledger,
-            "{name}: recovered ledger diverges"
-        );
-        assert_eq!(
-            report.torn_tail_bytes, 0,
-            "{name}: clean log has no torn tail"
-        );
-    }
-    eprintln!("[exp_durability] gates passed: all policies bit-identical to unlogged run");
+    assert!(fsyncs > 0, "no fsync ever happened");
+    let (world, report) = recover(dir.path()).expect("recovery");
+    assert_eq!(world.day(), days, "recovery day");
+    assert_eq!(
+        &world.ledger().days,
+        &baseline_ledger,
+        "recovered ledger diverges"
+    );
+    assert_eq!(report.torn_tail_bytes, 0, "clean log has no torn tail");
+    eprintln!(
+        "[exp_durability] gates passed: WAL'd run and recovery bit-identical to unlogged run"
+    );
 
     let mut rows: Vec<(String, f64)> = Vec::new();
-    let mut fsync_counts: Vec<(String, u64)> = Vec::new();
 
     // ---- append-overhead axis ----------------------------------------
     let no_wal_mean = time_mean(iters, || {
-        run_days(
-            None,
-            &engine,
-            days,
-            snapshot_every,
-            seed,
-            SyncPolicy::PerBatch,
-        )
+        run_days(None, &engine, days, snapshot_every, seed)
     });
     rows.push((format!("append/no_wal/{days}_days"), no_wal_mean));
-    let mut overheads: Vec<(String, f64)> = Vec::new();
-    for (name, policy) in policies {
-        let mean = time_mean(iters, || {
-            let dir = TempDir::new(&format!("durability-{name}"));
-            run_days(
-                Some(dir.path()),
-                &engine,
-                days,
-                snapshot_every,
-                seed,
-                policy,
-            )
-        });
-        rows.push((format!("append/wal_{name}/{days}_days"), mean));
-        rows.push((
-            format!("append/wal_{name}/overhead_us_per_day"),
-            (mean - no_wal_mean) / f64::from(days) * 1e6,
-        ));
-        overheads.push((
-            format!("wal_{name}_vs_no_wal_pct"),
-            (mean / no_wal_mean - 1.0) * 100.0,
-        ));
-        let dir = TempDir::new(&format!("durability-count-{name}"));
-        let (_, fsyncs) = run_days(
-            Some(dir.path()),
-            &engine,
-            days,
-            snapshot_every,
-            seed,
-            policy,
-        );
-        fsync_counts.push((name.to_string(), fsyncs));
-    }
+    let wal_mean = time_mean(iters, || {
+        let dir = TempDir::new("durability-record");
+        run_days(Some(dir.path()), &engine, days, snapshot_every, seed)
+    });
+    rows.push((format!("append/wal_record/{days}_days"), wal_mean));
+    rows.push((
+        "append/wal_record/overhead_us_per_day".into(),
+        (wal_mean - no_wal_mean) / f64::from(days) * 1e6,
+    ));
 
     // ---- recovery axis -----------------------------------------------
     // Steady state: snapshots every `snapshot_every` days, so recovery
     // replays at most a snapshot interval's worth of records.
     let steady = TempDir::new("durability-recover-steady");
-    run_days(
-        Some(steady.path()),
-        &engine,
-        days,
-        snapshot_every,
-        seed,
-        SyncPolicy::PerBatch,
-    );
+    run_days(Some(steady.path()), &engine, days, snapshot_every, seed);
     rows.push((
         "recovery/newest_snapshot_short_suffix".into(),
         time_mean(iters.max(5), || recover(steady.path()).expect("recover")),
@@ -265,7 +196,6 @@ fn main() {
         days,
         days + 1, // never snapshot mid-life
         seed,
-        SyncPolicy::PerBatch,
     );
     rows.push((
         format!("recovery/genesis_full_replay/{days}_days"),
@@ -306,16 +236,17 @@ fn main() {
         .results("mean_s", &rows)
         .map(
             "overhead",
-            overheads
-                .iter()
-                .map(|(name, pct)| (name, format!("{pct:.2}"))),
+            [(
+                "wal_record_vs_no_wal_pct",
+                format!("{:.2}", (wal_mean / no_wal_mean - 1.0) * 100.0),
+            )],
         )
-        .map("fsyncs_per_life", fsync_counts);
+        .map("fsyncs_per_life", [("record", fsyncs)]);
     record.emit(
         &[
-            format!("Recorded on a {host_threads}-thread host with tmpdir-backed storage; fsync latency on this medium bounds what the record policy costs, so re-record on the target disk before quoting absolute overheads. The *relative* ordering (record ≥ batch > interval — one batch boundary per day makes batch nearly per-record here) and the fsync counts are medium-independent."),
+            format!("Recorded on a {host_threads}-thread host with tmpdir-backed storage; fsync latency on this medium bounds what durability costs, so re-record on the target disk before quoting absolute overheads. The fsync count is medium-independent: one per record, plus one before each snapshot, one per segment rotation and one at the end of the life."),
             "The workload is one solver day per WAL record (NYC test scale, G-Global). Solve time dominates each day, so overhead percentages understate what a write-heavy ingest workload would pay per record; overhead_us_per_day is the transferable number.".into(),
-            "Correctness gates ran before timing: every policy's ledger and every recovery are bit-identical to the unlogged run, and clean logs report zero torn-tail bytes.".into(),
+            "Correctness gates ran before timing: the WAL'd ledger and its recovery are bit-identical to the unlogged run, and the clean log reports zero torn-tail bytes.".into(),
         ],
         &args,
     );

@@ -496,7 +496,7 @@ fn ablations(scale: Scale, t: &mut Timer) -> Output {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["suite", "scale", "iters", "date", "out"]);
     let suite = args.get("suite").unwrap_or_default();
     let run: fn(Scale, &mut Timer) -> Output = match suite {
         "local_search" => local_search,

@@ -7,7 +7,7 @@ use mroam_experiments::{build_city, Args, CityKind};
 use mroam_influence::curves;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["scale", "lambda"]);
     let scale = args.scale();
     let lambda = args.f64_or("lambda", mroam_experiments::params::DEFAULT_LAMBDA);
 

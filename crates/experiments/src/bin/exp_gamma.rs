@@ -10,7 +10,7 @@ use mroam_experiments::table::render_effectiveness;
 use mroam_experiments::{build_city, Args, CityKind};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["city", "scale", "seed"]);
     let city_kind = args.city(CityKind::Nyc);
     let seed = args.seed();
     let city = build_city(city_kind, args.scale());

@@ -15,7 +15,7 @@ use mroam_experiments::table::render_effectiveness;
 use mroam_experiments::{build_city, Args, CityKind};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["scale", "seed", "model-cache-dir"]);
     let seed = args.seed();
     let cache_dir = args.get("model-cache-dir").map(std::path::PathBuf::from);
 

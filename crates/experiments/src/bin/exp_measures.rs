@@ -15,7 +15,7 @@ use mroam_experiments::{build_city, Args, CityKind};
 use mroam_influence::InfluenceMeasure;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["city", "scale", "seed"]);
     let city_kind = args.city(CityKind::Nyc);
     let seed = args.seed();
     let city = build_city(city_kind, args.scale());

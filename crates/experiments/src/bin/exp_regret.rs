@@ -18,7 +18,7 @@ use mroam_experiments::table::render_effectiveness;
 use mroam_experiments::{build_city, Args, CityKind};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["city", "scale", "seed", "figure"]);
     let figure = args.usize_or("figure", 4);
     let (_, p_avg, n_at_full) = FIGURE_P
         .iter()

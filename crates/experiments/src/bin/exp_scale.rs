@@ -19,8 +19,19 @@ use mroam_experiments::{setup, Args, CityKind};
 use mroam_influence::storage::{self, ModelFingerprint};
 use mroam_influence::CoverageModel;
 
+/// The `--key`s this binary reads; any other key exits 2.
+const KEYS: &[&str] = &[
+    "city",
+    "scale",
+    "trajectories",
+    "iters",
+    "lambda",
+    "date",
+    "out",
+];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(KEYS);
     let kind = args.city(CityKind::Nyc);
     let mut cfg = setup::city_config(kind, args.scale());
     if args.get("trajectories").is_some() {
@@ -63,38 +74,30 @@ fn main() {
         "mmap/off/query_sweep".into(),
         time_mean(iters, || sweep(&heap_model)),
     ));
-    #[cfg(feature = "mmap")]
-    {
-        let path = std::env::temp_dir().join(format!("mroam_exp_scale_{}.cov", std::process::id()));
-        std::fs::write(&path, &bytes).expect("write model file");
-        rows.push((
-            "mmap/on/map_open".into(),
-            time_mean(iters, || {
-                storage::open_model_mmap(&path, &fingerprint).expect("mmap")
-            }),
-        ));
-        let mapped_model = storage::open_model_mmap(&path, &fingerprint).expect("mmap");
-        assert!(mapped_model.coverage_lists().is_mapped());
-        assert_eq!(
-            sweep(&heap_model),
-            sweep(&mapped_model),
-            "mmap answers diverge"
-        );
-        rows.push((
-            "mmap/on/query_sweep".into(),
-            time_mean(iters, || sweep(&mapped_model)),
-        ));
-        let _ = std::fs::remove_file(&path);
-    }
+    let path = std::env::temp_dir().join(format!("mroam_exp_scale_{}.cov", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write model file");
+    rows.push((
+        "mmap/on/map_open".into(),
+        time_mean(iters, || {
+            storage::open_model_mmap(&path, &fingerprint).expect("mmap")
+        }),
+    ));
+    let mapped_model = storage::open_model_mmap(&path, &fingerprint).expect("mmap");
+    assert!(mapped_model.coverage_lists().is_mapped());
+    assert_eq!(
+        sweep(&heap_model),
+        sweep(&mapped_model),
+        "mmap answers diverge"
+    );
+    rows.push((
+        "mmap/on/query_sweep".into(),
+        time_mean(iters, || sweep(&mapped_model)),
+    ));
+    let _ = std::fs::remove_file(&path);
 
     // ---- emit --------------------------------------------------------
-    #[cfg(feature = "mmap")]
-    let mmap_open_speedup = {
-        let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|&(_, v)| v).unwrap();
-        get("mmap/off/heap_decode") / get("mmap/on/map_open")
-    };
-    #[cfg(not(feature = "mmap"))]
-    let mmap_open_speedup = f64::NAN; // axis compiled out
+    let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|&(_, v)| v).unwrap();
+    let mmap_open_speedup = get("mmap/off/heap_decode") / get("mmap/on/map_open");
 
     let host_threads = host_threads();
     let mut record = Record::new(
@@ -118,12 +121,10 @@ fn main() {
         .results("mean_s", &rows)
         .map(
             "speedups",
-            mmap_open_speedup.is_finite().then(|| {
-                (
-                    "mmap_open_vs_heap_decode",
-                    format!("{mmap_open_speedup:.2}"),
-                )
-            }),
+            [(
+                "mmap_open_vs_heap_decode",
+                format!("{mmap_open_speedup:.2}"),
+            )],
         );
     record.emit(
         &[

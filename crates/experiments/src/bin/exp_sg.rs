@@ -9,7 +9,7 @@ use mroam_experiments::table::render_effectiveness;
 use mroam_experiments::{build_city, Args, CityKind};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["scale", "seed"]);
     let seed = args.seed();
     let city = build_city(CityKind::Sg, args.scale());
     let model = city.coverage(DEFAULT_LAMBDA);

@@ -6,7 +6,7 @@
 use mroam_experiments::{build_city, Args, CityKind};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["scale"]);
     let scale = args.scale();
     println!("Table 5: Statistics of Datasets (synthetic, scale {scale:?})");
     println!(

@@ -97,7 +97,7 @@ fn scaling_workload(n: u64) -> u64 {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["iters", "jobs", "date", "out"]);
     let jobs = args.usize_or("jobs", 512) as u64;
     let iters = args.usize_or("iters", 20);
 

@@ -9,7 +9,7 @@ use mroam_experiments::table::render_runtime;
 use mroam_experiments::{build_city, Args, CityKind};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["city", "scale", "seed", "vary"]);
     let vary = args.get("vary").unwrap_or("alpha").to_string();
     let city_kind = args.city(CityKind::Nyc);
     let seed = args.seed();

@@ -89,21 +89,66 @@ fn main() {
         exit(2);
     }
     let command = raw.remove(0);
-    let args = Args::parse(raw);
-    match command.as_str() {
-        "solve" => cmd_solve(&args),
-        "stats" => cmd_stats(&args),
-        "coverage" => cmd_coverage(&args),
-        "gen" => cmd_gen(&args),
-        "cache-smoke" => cmd_cache_smoke(&args),
-        "wal-replay" => cmd_wal_replay(&args),
+    // Each subcommand with the `--key`s it reads; any other key exits 2.
+    let (keys, run): (&[&str], fn(&Args)) = match command.as_str() {
+        "solve" => (
+            &[
+                "billboards",
+                "trajectories",
+                "advertisers",
+                "lambda",
+                "model-cache",
+                "gamma",
+                "measure",
+                "algo",
+                "restarts",
+                "seed",
+                "improvement-ratio",
+                "out",
+            ],
+            cmd_solve,
+        ),
+        "stats" => (
+            &[
+                "billboards",
+                "trajectories",
+                "lambda",
+                "model-cache",
+                "memory",
+                "threads",
+                "wal",
+                "replication",
+                "addr",
+                "follower-addr",
+            ],
+            cmd_stats,
+        ),
+        "coverage" => (
+            &["billboards", "trajectories", "lambda", "out"],
+            cmd_coverage,
+        ),
+        "gen" => (
+            &[
+                "city",
+                "scale",
+                "trajectories",
+                "billboards",
+                "seed",
+                "out-prefix",
+                "stream",
+            ],
+            cmd_gen,
+        ),
+        "cache-smoke" => (&["path", "city", "lambda"], cmd_cache_smoke),
+        "wal-replay" => (&["dir", "inspect", "verify"], cmd_wal_replay),
         other => {
             eprintln!(
                 "unknown command {other:?}; expected solve|stats|coverage|gen|cache-smoke|wal-replay"
             );
             exit(2);
         }
-    }
+    };
+    run(&Args::parse(raw, keys));
 }
 
 fn required(args: &Args, key: &str) -> String {

@@ -32,8 +32,23 @@ use mroam_stream::{IngestBatch, StreamEngine, TrajectoryDelta};
 use std::process::exit;
 use std::time::Instant;
 
+/// The `--key`s this binary reads; any other key exits 2.
+const KEYS: &[&str] = &[
+    "city",
+    "scale",
+    "seed",
+    "algo",
+    "alpha",
+    "p",
+    "gamma",
+    "chunks",
+    "base-chunks",
+    "compact-every",
+    "verify",
+];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(KEYS);
     let chunks = args.usize_or("chunks", 8).max(1);
     let base_chunks = args.usize_or("base-chunks", 2).min(chunks - 1);
     let compact_every = args.usize_or("compact-every", 0);

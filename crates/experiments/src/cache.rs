@@ -9,13 +9,11 @@
 //! version) falls back to a full build and rewrites the file. The cache is
 //! advisory — I/O failures log and degrade to building, never abort.
 //!
-//! How a fresh file opens is fixed at build time. With the `mmap` feature
-//! (the default) it is *mapped*: the coverage and derived CSR columns stay
-//! on disk and page in lazily, so models larger than RAM serve queries
-//! with identical semantics at a fraction of the resident footprint.
-//! Without it the file is decoded onto the heap. Files are replaced by
-//! rename, never rewritten in place, so a model mapped from a path keeps
-//! reading the file it mapped.
+//! A fresh file is *mapped*: the coverage and derived CSR columns stay on
+//! disk and page in lazily, so models larger than RAM serve queries with
+//! identical semantics at a fraction of the resident footprint. Files are
+//! replaced by rename, never rewritten in place, so a model mapped from a
+//! path keeps reading the file it mapped.
 
 use mroam_data::{BillboardStore, TrajectoryStore};
 use mroam_datagen::City;
@@ -44,18 +42,9 @@ pub fn cache_path(dir: &Path, city: &str, lambda_m: f64) -> PathBuf {
     dir.join(format!("{}_{lambda_um}.cov", city.to_ascii_lowercase()))
 }
 
-/// Opens a model file the way this build serves models: mapped.
-#[cfg(feature = "mmap")]
+/// Opens a model file the way models are served: mapped.
 fn open(path: &Path, fingerprint: &ModelFingerprint) -> Result<CoverageModel, StorageError> {
     storage::open_model_mmap(path, fingerprint)
-}
-
-/// Opens a model file the way this build serves models: decoded onto the
-/// heap (the `mmap` feature is compiled out).
-#[cfg(not(feature = "mmap"))]
-fn open(path: &Path, fingerprint: &ModelFingerprint) -> Result<CoverageModel, StorageError> {
-    let bytes = std::fs::read(path).map_err(|e| StorageError::Io(e.kind()))?;
-    storage::read_model(&bytes, fingerprint)
 }
 
 /// Writes `model`, built from the inputs `fingerprint` names, to `path`
@@ -238,7 +227,7 @@ mod tests {
         let (hit, status) = load_or_build(&billboards, &trajectories, 50.0, &path);
         assert_eq!(status, CacheStatus::Hit);
         for model in [&rebuilt, &hit] {
-            assert_eq!(model.coverage_lists().is_mapped(), cfg!(feature = "mmap"));
+            assert!(model.coverage_lists().is_mapped());
             assert_eq!(model.coverage_lists(), built.coverage_lists());
             assert_eq!(model.inverted_index(), built.inverted_index());
             assert_eq!(model.overlap_graph(), built.overlap_graph());

@@ -9,7 +9,7 @@
 
 use crate::{rss, Args};
 use std::fmt::Display;
-use std::time::Instant;
+use std::time::{Instant, SystemTime};
 
 /// Mean wall-clock seconds of `iters` runs of `f` (each result is
 /// black-boxed so the optimiser cannot elide the work).
@@ -29,6 +29,30 @@ pub fn host_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The `YYYY-MM-DD` civil date `days` after 1970-01-01, in the proleptic
+/// Gregorian calendar (H. Hinnant's `civil_from_days`: count in 400-year
+/// eras of years that start on 1 March, so the leap day ends a year).
+fn civil_date(days: u64) -> String {
+    let z = days + 719_468; // days since 0000-03-01
+    let era = z / 146_097;
+    let doe = z % 146_097; // day of era, [0, 146096]
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365; // [0, 399]
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100); // day of year from 1 March
+    let mp = (5 * doy + 2) / 153; // month from March, [0, 11]
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = era * 400 + yoe + u64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
+/// Today's UTC date as `YYYY-MM-DD`.
+fn today_utc() -> String {
+    let secs = SystemTime::now()
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    civil_date(secs / 86_400)
+}
+
 /// `s` as a quoted, escaped JSON string.
 fn quote(s: &str) -> String {
     serde_json::to_string(s).expect("a string always serialises")
@@ -43,16 +67,17 @@ pub struct Record {
 
 impl Record {
     /// Opens the document with `bench`, `command` and `date` (`--date`,
-    /// default `"unknown"`).
+    /// default today's UTC date).
     pub fn new(bench: &str, command: &str, args: &Args) -> Self {
         let mut record = Self {
             bench: bench.to_string(),
             fields: Vec::new(),
         };
+        let date = args.get("date").map_or_else(today_utc, str::to_string);
         record
             .text("bench", bench)
             .text("command", command)
-            .text("date", args.get("date").unwrap_or("unknown"));
+            .text("date", &date);
         record
     }
 
@@ -153,7 +178,7 @@ mod tests {
 
     #[test]
     fn document_keeps_insertion_order_and_parses() {
-        let args = Args::parse(["--date".to_string(), "2026-01-02".to_string()]);
+        let args = Args::parse(["--date".to_string(), "2026-01-02".to_string()], &["date"]);
         let mut record = Record::new("demo", "cargo run --bin demo", &args);
         record
             .host_threads()
@@ -191,6 +216,14 @@ mod tests {
                 "notes"
             ]
         );
+    }
+
+    #[test]
+    fn civil_dates_cross_leap_days_and_eras() {
+        assert_eq!(civil_date(0), "1970-01-01");
+        assert_eq!(civil_date(11_016), "2000-02-29");
+        assert_eq!(civil_date(11_017), "2000-03-01");
+        assert_eq!(civil_date(20_746), "2026-10-20");
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //!
 //! A file loads two ways with identical read semantics: [`read_model`]
 //! copies each section into owned columns (any alignment, any endianness
-//! of the *host* — sections are LE), and [`open_model_mmap`] (feature
-//! `mmap`) maps the file and serves every column as a zero-copy view, so
-//! cities larger than RAM fault pages in lazily instead of materialising
-//! gigabytes up front.
+//! of the *host* — sections are LE), and [`open_model_mmap`] maps the
+//! file and serves every column as a zero-copy view, so cities larger
+//! than RAM fault pages in lazily instead of materialising gigabytes up
+//! front.
 
 use crate::hash::FxHasher;
 use crate::model::{CoverageLists, CoverageModel, InvertedIndex, OverlapGraph};
@@ -396,7 +396,6 @@ pub fn read_model(data: &[u8], expected: &ModelFingerprint) -> Result<CoverageMo
 /// and CSR invariants are verified up front (one sequential pass — this is
 /// the only part that touches every page), so the returned model answers
 /// every query identically to a heap load of the same file.
-#[cfg(feature = "mmap")]
 pub fn open_model_mmap(
     path: &std::path::Path,
     expected: &ModelFingerprint,
@@ -624,7 +623,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "mmap")]
     mod mmap_tests {
         use super::*;
 

@@ -6,12 +6,8 @@
 //!                 [--date YYYY-MM-DD] [--out results/BENCH_replication.json]
 //! ```
 //!
-//! Three axes:
+//! Two axes:
 //!
-//! * **group commit** — concurrent appenders on one [`SharedWal`] under
-//!   the per-record policy: fsyncs per append as the submitter count
-//!   grows (the amortization the commit-group latch buys), plus append
-//!   throughput.
 //! * **lag vs ingest rate** — an in-process leader (a stream engine over
 //!   the NYC test city, WAL + replication feed) serves a burst of served
 //!   days while a live follower tails; recorded: burst wall time, the
@@ -26,7 +22,6 @@
 //! `query_coverage` byte-identically to the leader at the converged
 //! seq, and its day/collected/regret must match the leader's.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use mroam_experiments::record::Record;
@@ -40,52 +35,6 @@ use mroam_serve::server::{spawn, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::{Client, ReplicationConfig};
 use mroam_stream::StreamEngine;
 use mroam_wal::testutil::TempDir;
-use mroam_wal::{SharedWal, SyncPolicy, WalOptions, WalRecord};
-
-/// Concurrent per-record appenders on one shared log; returns
-/// (elapsed seconds, appends, fsyncs).
-fn group_commit_run(threads: usize, per_thread: usize) -> (f64, u64, u64) {
-    let dir = TempDir::new(&format!("repl-group-{threads}"));
-    let wal = SharedWal::open(
-        dir.path(),
-        WalOptions {
-            sync: SyncPolicy::PerRecord,
-            segment_bytes: 1 << 20,
-        },
-    )
-    .expect("open shared wal");
-    let stopping = AtomicBool::new(false);
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let wal = &wal;
-            let stopping = &stopping;
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    if stopping.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let day = (t * per_thread + i) as u32;
-                    wal.append(&WalRecord::SnapshotMark {
-                        wal_seq: u64::from(day),
-                        day,
-                        epoch: 0,
-                    })
-                    .expect("append");
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let stats = wal.stats();
-    assert_eq!(
-        stats.next_seq - 1,
-        (threads * per_thread) as u64,
-        "contiguous log"
-    );
-    assert_eq!(wal.durable_seq(), stats.next_seq - 1, "all durable");
-    (elapsed, stats.records_appended, stats.fsyncs)
-}
 
 struct Leader {
     handle: Option<ServerHandle>,
@@ -98,7 +47,6 @@ fn spawn_leader(snapshot_every: u32) -> Leader {
     let city = build_city(CityKind::Nyc, Scale::Test);
     let engine = StreamEngine::new(city.billboards, city.trajectories, params::DEFAULT_LAMBDA);
     let mut wal = WalConfig::new(dir.path().to_path_buf());
-    wal.options.sync = SyncPolicy::PerRecord;
     wal.snapshot_every = snapshot_every;
     let config = ServeConfig {
         host: HostConfig::default(),
@@ -172,22 +120,10 @@ fn wait_applied(state: &SharedState, target_seq: u64, what: &str) -> (f64, u64) 
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["days", "submits", "snapshot-every", "date", "out"]);
     let days = args.usize_or("days", 24) as u64;
     let submits = args.usize_or("submits", 6) as u64;
     let snapshot_every = args.usize_or("snapshot-every", 4) as u32;
-
-    // ---- group-commit axis -------------------------------------------
-    let per_thread = 160;
-    let mut gc_rows: Vec<(usize, f64, u64, u64)> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let (elapsed, appends, fsyncs) = group_commit_run(threads, per_thread);
-        eprintln!(
-            "[exp_replication] group commit: {threads} threads, {appends} appends, {fsyncs} fsyncs ({:.3} fsyncs/append)",
-            fsyncs as f64 / appends as f64
-        );
-        gc_rows.push((threads, elapsed, appends, fsyncs));
-    }
 
     // ---- leader + live follower --------------------------------------
     let mut leader = spawn_leader(snapshot_every);
@@ -287,16 +223,6 @@ fn main() {
 
     // ---- emit --------------------------------------------------------
     let mut rows: Vec<(String, f64)> = Vec::new();
-    for (threads, elapsed, appends, fsyncs) in &gc_rows {
-        rows.push((
-            format!("group_commit/{threads}_threads/appends_per_s"),
-            *appends as f64 / elapsed,
-        ));
-        rows.push((
-            format!("group_commit/{threads}_threads/fsyncs_per_append"),
-            *fsyncs as f64 / *appends as f64,
-        ));
-    }
     rows.push((format!("lag/burst_{days}_days/burst_s"), burst_s));
     rows.push((format!("lag/burst_{days}_days/converge_s"), converge_s));
     rows.push((
@@ -327,7 +253,6 @@ fn main() {
         .results("value", &rows);
     record.emit(
         &[
-            "group_commit rows measure SharedWal's commit groups: with one appender every per-record append pays its own fdatasync, and concurrent appenders may share one fsync per group. The serving daemon never has concurrent appenders (its command loop is the WAL's only appender), so these rows describe the WAL alone, and on a 2-vCPU host the groups barely form (fsyncs_per_append stays near 1 at 2-8 threads). Absolute appends/s depends on the medium's fsync latency (tmpdir-backed here).".into(),
             "lag rows drive a live follower through a served-day burst on the loopback: peak_lag_seqs is bounded by the leader's solve time per day (the follower replays the same solver), and converge_s is the drain after the last day. catch_up rows attach a fresh follower after the burst: snapshot restore plus suffix replay to the durable horizon.".into(),
             "Correctness gates ran before timing: follower query_coverage answers and day/locked/free/collected/regret are bit-identical to the leader at the converged seq, and mutations on the follower answer the typed redirect.".into(),
         ],

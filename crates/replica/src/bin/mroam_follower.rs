@@ -21,7 +21,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::exit;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["leader", "leader-cmd", "addr"]);
     let Some(leader) = args.get("leader") else {
         eprintln!("--leader <addr> is required (the leader's replication feed address)");
         exit(2);

@@ -20,13 +20,13 @@
 //!
 //! Consistency model: a follower serves a *prefix* of the leader's
 //! history — always a state the leader actually passed through, never
-//! a torn or speculative one (frames ship only past the leader's
-//! group-commit durable horizon). Reads are monotonic per follower;
-//! cross-follower reads may observe different prefixes.
+//! a torn or speculative one (frames ship only up to the leader's
+//! durable horizon, which each fsynced append advances). Reads are
+//! monotonic per follower; cross-follower reads may observe different
+//! prefixes.
 //!
 //! Binaries: `mroam-follower` (the daemon) and `exp_replication` (the
-//! replication benchmark: group-commit amortization, follower lag,
-//! catch-up time).
+//! replication benchmark: follower lag and catch-up time).
 
 pub mod follower;
 pub mod tailer;

@@ -33,7 +33,7 @@ use mroam_stream::testutil::disjoint_engine;
 use mroam_stream::StreamEngine;
 use mroam_wal::state::{encode, list_snapshots, write_snapshot_file};
 use mroam_wal::testutil::TempDir;
-use mroam_wal::{recover, SharedWal, SyncPolicy, WalOptions, WalRecord};
+use mroam_wal::{recover, SharedWal, WalOptions, WalRecord};
 use proptest::prelude::*;
 use std::fs;
 use std::path::Path;
@@ -187,8 +187,8 @@ proptest! {
             SharedWal::open(
                 dir.path(),
                 WalOptions {
-                    sync: SyncPolicy::PerRecord,
                     segment_bytes: 256, // force frequent rotations
+                    ..WalOptions::default()
                 },
             )
             .unwrap(),
@@ -259,8 +259,8 @@ fn reconnect_behind_pruning_horizon_gets_a_snapshot() {
         SharedWal::open(
             dir.path(),
             WalOptions {
-                sync: SyncPolicy::PerRecord,
                 segment_bytes: 256,
+                ..WalOptions::default()
             },
         )
         .unwrap(),

@@ -21,7 +21,6 @@ use mroam_serve::server::{spawn, ServeConfig, ServerHandle, WalConfig};
 use mroam_serve::ReplicationConfig;
 use mroam_stream::{StreamEngine, TrajectoryDelta};
 use mroam_wal::testutil::TempDir;
-use mroam_wal::SyncPolicy;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -50,12 +49,10 @@ fn near(b: f64) -> TrajectoryDelta {
 }
 
 /// A replicated leader on port 0: manual batch windows (tests control
-/// day boundaries), per-record sync, snapshots every 2 days so the
-/// pruning horizon moves during the test, and a caller-chosen bounded
-/// follower queue.
+/// day boundaries), snapshots every 2 days so the pruning horizon moves
+/// during the test, and a caller-chosen bounded follower queue.
 fn leader_with_queue(dir: &std::path::Path, queue_msgs: usize) -> ServerHandle {
     let mut wal = WalConfig::new(dir.to_path_buf());
-    wal.options.sync = SyncPolicy::PerRecord;
     wal.options.segment_bytes = 512; // rotate often: exercise cursor rebinds
     wal.snapshot_every = 2;
     let mut replication = ReplicationConfig::new("127.0.0.1:0".into());
@@ -295,9 +292,13 @@ fn session_kill_and_watermark_reconnect_preserves_identity() {
 
     let state = mroam_replica::FollowerState::new();
 
-    // Session 1 connects, *then* the leader serves more days, so the
-    // frames stream in live. Kill the socket after two applied records.
+    // Session 1 connects and installs the genesis snapshot, *then* the
+    // leader serves more days, so the frames stream in live. (Serving
+    // them before the feed answers the hello could ship a later snapshot
+    // with fewer than two records after it.) Kill the socket after two
+    // applied records.
     let mut s1 = Session::connect(feed, state.clone()).expect("session 1");
+    while !matches!(s1.step().expect("step"), SessionEvent::Snapshot { .. }) {}
     for day in 1..4u64 {
         serve_day(&mut lc, day);
     }

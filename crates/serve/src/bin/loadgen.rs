@@ -59,8 +59,27 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// The `--key`s this binary reads; any other key exits 2.
+const KEYS: &[&str] = &[
+    "requests",
+    "rps",
+    "seed",
+    "city",
+    "scale",
+    "algo",
+    "gamma",
+    "p-avg",
+    "max-batch",
+    "max-wait-ms",
+    "model-cache",
+    "addr",
+    "supply",
+    "shutdown",
+    "follower-addr",
+];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(KEYS);
     let n = args.usize_or("requests", 500);
     let rps = args.f64_or("rps", 1000.0);
     let seed = args.seed();

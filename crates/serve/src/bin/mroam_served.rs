@@ -9,14 +9,15 @@
 //!              [--restarts N] [--max-batch N] [--min-wait-ms F]
 //!              [--max-wait-ms F] [--restore path/to/snapshot.json]
 //!              [--model-cache path/to/model.cov]
-//!              [--ingest-queue N] [--wal-dir DIR] [--wal-sync record|batch|interval:MS]
+//!              [--ingest-queue N] [--wal-dir DIR] [--wal-sync record]
 //!              [--wal-segment-kb N] [--snapshot-every N] [--replica-addr ADDR]
 //! ```
 //!
 //! `--wal-dir` turns on durable write-ahead logging: every served day,
-//! ingest, and compaction is logged (and fsynced per `--wal-sync`,
-//! default `batch`) *before* it applies, and a checksummed snapshot is
-//! written every `--snapshot-every` days (default 8). If the directory
+//! ingest, and compaction is logged and fsynced *before* it applies
+//! (`--wal-sync` accepts only `record`, that one rule), and a
+//! checksummed snapshot is written every `--snapshot-every` days
+//! (default 8). If the directory
 //! already holds a log, the daemon **recovers** from it — newest valid
 //! snapshot plus WAL suffix replay — and the city/solver flags are
 //! ignored in favour of the logged configuration (`--restore` too: the
@@ -54,8 +55,32 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
 
+/// The `--key`s this binary reads; any other key exits 2.
+const KEYS: &[&str] = &[
+    "addr",
+    "city",
+    "scale",
+    "algo",
+    "gamma",
+    "seed",
+    "restarts",
+    "improvement-ratio",
+    "max-batch",
+    "min-wait-ms",
+    "max-wait-ms",
+    "restore",
+    "model-cache",
+    "head-trajectories",
+    "ingest-queue",
+    "wal-dir",
+    "wal-sync",
+    "wal-segment-kb",
+    "snapshot-every",
+    "replica-addr",
+];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(KEYS);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7464").to_string();
     let batch = BatchPolicy {
         max_batch: args.usize_or("max-batch", 64),
@@ -67,7 +92,7 @@ fn main() {
         let mut config = WalConfig::new(PathBuf::from(dir));
         if let Some(s) = args.get("wal-sync") {
             config.options.sync = SyncPolicy::parse(s).unwrap_or_else(|| {
-                eprintln!("bad --wal-sync {s:?}: expected record|batch|interval:<ms>");
+                eprintln!("bad --wal-sync {s:?}: expected record");
                 exit(2);
             });
         }

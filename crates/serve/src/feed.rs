@@ -7,7 +7,7 @@
 //! * the **session** thread reads the follower's `hello{watermark}`,
 //!   ships a snapshot if the follower has no world or fell behind the
 //!   pruning horizon, then tails the WAL with a [`WalCursor`] — frames
-//!   are only shipped once the group-commit machinery has published
+//!   are only shipped once their append has fsynced them and published
 //!   them durable ([`SharedWal::wait_durable_past`]), so a follower can
 //!   never apply a record the leader could still lose;
 //! * the **writer** thread drains a *bounded* queue onto the socket. A

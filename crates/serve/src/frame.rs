@@ -3,11 +3,8 @@
 //! Each frame is an 8-byte little-endian payload length followed by that
 //! many bytes of UTF-8 JSON (one document per frame). Length delimiting —
 //! rather than scanning for newlines — lets the reader allocate exactly
-//! once per message and reject oversized garbage before buffering it. The
-//! header codec goes through the vendored `bytes` `Buf`/`BufMut` traits,
-//! the same substrate the coverage-model storage format uses.
+//! once per message and reject oversized garbage before buffering it.
 
-use bytes::{Buf, BufMut};
 use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on a single frame's payload. Snapshots of bench-scale
@@ -23,8 +20,7 @@ pub const MAX_FRAME_LEN: u64 = 256 << 20;
 /// multi-megabyte snapshot costs no extra buffer. Short writes continue
 /// from where the previous call stopped.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let mut header = Vec::with_capacity(8);
-    header.put_u64_le(payload.len() as u64);
+    let header = (payload.len() as u64).to_le_bytes();
     let mut sent = 0;
     while sent < header.len() + payload.len() {
         let result = if sent < header.len() {
@@ -64,8 +60,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
             n => filled += n,
         }
     }
-    let mut cursor: &[u8] = &header;
-    let len = cursor.get_u64_le();
+    let len = u64::from_le_bytes(header);
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -151,8 +146,7 @@ mod tests {
         };
         write_frame(&mut w, b"{\"a\":1}").unwrap();
         assert_eq!(w.calls, 1);
-        let mut want = Vec::new();
-        want.put_u64_le(7);
+        let mut want = 7u64.to_le_bytes().to_vec();
         want.extend_from_slice(b"{\"a\":1}");
         assert_eq!(w.wire, want);
     }
@@ -175,9 +169,7 @@ mod tests {
 
     #[test]
     fn oversized_length_is_rejected_without_allocating() {
-        let mut wire = Vec::new();
-        wire.put_u64_le(u64::MAX);
-        let mut r = Cursor::new(wire);
+        let mut r = Cursor::new(u64::MAX.to_le_bytes());
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

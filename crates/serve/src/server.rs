@@ -358,15 +358,15 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Incoming>, reply: Sender<String
 
 /// Durable-logging state owned by the command loop. Every mutation the
 /// loop applies — a served day, an ingest, a compaction — is appended
-/// (and, per policy, fsynced) *before* it applies; see `crates/wal` for
-/// the frame format and the recovery protocol.
+/// and fsynced *before* it applies; see `crates/wal` for the frame
+/// format and the recovery protocol.
 ///
 /// WAL failures are fatal by design: a server that cannot make its log
 /// durable must not keep acknowledging mutations, so every append/sync
 /// here `expect`s.
 struct WalState {
-    /// The group-commit log handle, shared with the replication feed
-    /// (which tails it read-only, gated on `durable_seq`).
+    /// The log handle, shared with the replication feed (which tails it
+    /// read-only, gated on `durable_seq`).
     shared: Arc<SharedWal>,
     dir: PathBuf,
     snapshot_every: u32,
@@ -395,13 +395,10 @@ fn open_wal(wc: &WalConfig) -> Result<WalState, mroam_wal::WalError> {
 }
 
 impl WalState {
-    /// Logs one record and makes it as durable as the sync policy
-    /// promises, *before* the caller applies the mutation.
+    /// Logs one record durably, *before* the caller applies the
+    /// mutation.
     fn log(&mut self, record: &WalRecord) {
         self.shared.append(record).expect("wal: append failed");
-        self.shared
-            .batch_boundary()
-            .expect("wal: sync failed at batch boundary");
     }
 }
 
@@ -414,8 +411,7 @@ fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, engine: &StreamEn
     if w.days_since_snapshot < w.snapshot_every {
         return;
     }
-    // Everything up to the watermark must be durable before the
-    // snapshot claims to cover it.
+    // Appends are durable already; kept since dropping it slowed durable-mixed alloc latency.
     w.shared.sync().expect("wal: sync before snapshot");
     let watermark = w.shared.next_seq() - 1;
     state::write_snapshot_file(&w.dir, watermark, &state::encode(host, Some(engine)))
@@ -665,8 +661,8 @@ fn command_loop(
             seed = Some(carried);
         }
     }
-    // Make every acknowledged record durable before the process exits,
-    // whatever the interval policy left unsynced.
+    // Every appended record is durable already; one last fsync per
+    // process costs nothing measurable.
     if let Some(w) = wal.as_mut() {
         w.shared.sync().expect("wal: final sync failed");
     }

@@ -1,270 +1,123 @@
-//! Group commit: a shareable WAL handle that coalesces concurrent
-//! `PerRecord` appends into one `fdatasync`.
+//! The log's append handle: one durability rule for every record.
 //!
-//! [`crate::WalWriter`] is single-writer by construction: `append`
-//! holds the file, runs the sync policy inline, and under
-//! `SyncPolicy::PerRecord` that means one fsync per record — correct,
-//! but it serialises every submitter behind the disk. [`SharedWal`]
-//! keeps the single on-disk writer (appends still serialise on a
-//! mutex, they are cheap page-cache writes) and moves durability into a
-//! *commit group*:
-//!
-//! 1. A thread appends its record under the writer lock, then joins the
-//!    commit group with its seq.
-//! 2. If no sync is in flight, it becomes the group leader: it grabs a
-//!    clone of the active segment file and the current head seq *under
-//!    the writer lock*, releases it, and runs `fdatasync` on the clone
-//!    — so other threads keep appending while the disk works.
-//! 3. Every record appended before the leader grabbed its handle is
-//!    covered by that one fsync; the leader publishes `durable_seq =
-//!    head` and wakes all waiters whose seq it covered.
-//! 4. A thread that appended *during* the in-flight fsync waits on the
-//!    condvar and becomes (or is covered by) the next leader.
-//!
-//! Under K concurrent submitters this turns K fsyncs into roughly
-//! K / group-size, without weakening per-record durability: `append`
-//! still does not return until the record is on disk.
+//! [`SharedWal`] owns the single segment writer behind a mutex.
+//! [`SharedWal::append`] writes the frame, `fdatasync`s it, and only
+//! then publishes the record's seq as `durable_seq` and returns, so a
+//! record is on stable storage before its caller applies the mutation
+//! it describes. Concurrent appenders serialise on the writer lock and
+//! each pays its own fsync; the serve command loop is the log's only
+//! appender.
 //!
 //! `durable_seq` is also the replication feed's shipping horizon: the
 //! feed only ships frames `<= durable_seq` ([`crate::tail::WalCursor`]
-//! is polled with it), so a follower can never apply a record the
+//! is polled with it, and [`SharedWal::wait_durable_past`] wakes the
+//! feed on each append), so a follower can never apply a record the
 //! leader could still lose.
 
-use crate::log::{SyncPolicy, WalError, WalOptions, WalStats, WalWriter};
+use crate::log::{WalError, WalOptions, WalStats, WalWriter};
 use crate::record::WalRecord;
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Commit bookkeeping, guarded separately from the writer so appends
-/// and fsyncs overlap.
-struct CommitState {
-    /// Highest seq known to be on stable storage.
-    durable_seq: u64,
-    /// A group leader's fsync is in flight.
-    syncing: bool,
-    /// Completed group-commit fsyncs.
-    groups: u64,
-    /// Records made durable by those group fsyncs.
-    group_records: u64,
-    /// Largest single commit group observed.
-    max_group: u64,
-    /// When the last successful sync (either path) finished.
-    last_sync: Instant,
-}
-
-/// A `Send + Sync` WAL handle: the single [`WalWriter`] behind a mutex,
-/// plus the commit-group latch. Clone by wrapping in an [`std::sync::Arc`].
+/// A `Send + Sync` WAL handle: the segment writer behind a mutex, plus
+/// the published durable horizon and its condvar. Share it by wrapping
+/// it in an [`std::sync::Arc`].
 pub struct SharedWal {
     writer: Mutex<WalWriter>,
-    commit: Mutex<CommitState>,
+    /// Highest seq known to be on stable storage.
+    durable_seq: Mutex<u64>,
     durable: Condvar,
-    policy: SyncPolicy,
 }
 
 impl SharedWal {
-    /// Opens (or creates) the log in `dir`. The configured sync policy
-    /// is enforced by this handle — `PerRecord` via group commit — so
-    /// the inner writer is opened with `PerBatch` (never auto-syncs on
-    /// append; rotation still syncs sealed segments).
+    /// Opens (or creates) the log in `dir`.
     pub fn open(dir: &Path, options: WalOptions) -> Result<SharedWal, WalError> {
-        let policy = options.sync;
-        let writer = WalWriter::open(
-            dir,
-            WalOptions {
-                sync: SyncPolicy::PerBatch,
-                ..options
-            },
-        )?;
+        let writer = WalWriter::open(dir, options)?;
         // Everything recovered from disk at open is durable by
         // definition (the torn tail was truncated and synced).
         let durable_seq = writer.next_seq() - 1;
         Ok(SharedWal {
             writer: Mutex::new(writer),
-            commit: Mutex::new(CommitState {
-                durable_seq,
-                syncing: false,
-                groups: 0,
-                group_records: 0,
-                max_group: 0,
-                last_sync: Instant::now(),
-            }),
+            durable_seq: Mutex::new(durable_seq),
             durable: Condvar::new(),
-            policy,
         })
     }
 
-    /// Appends one record and runs this handle's sync policy: under
-    /// `PerRecord` the call returns only once the record is fsynced
-    /// (possibly by another thread's group fsync); under `Interval` it
-    /// syncs when the window elapsed; under `PerBatch` durability waits
-    /// for [`SharedWal::batch_boundary`].
+    fn writer(&self) -> MutexGuard<'_, WalWriter> {
+        self.writer
+            .lock()
+            .expect("a thread panicked while appending to the WAL")
+    }
+
+    fn horizon(&self) -> MutexGuard<'_, u64> {
+        self.durable_seq
+            .lock()
+            .expect("a thread panicked while publishing the WAL horizon")
+    }
+
+    /// Appends one record, `fdatasync`s it and publishes it as durable;
+    /// returns its seq. An `Err` leaves `durable_seq` where it was.
     pub fn append(&self, record: &WalRecord) -> Result<u64, WalError> {
-        let seq = self.writer.lock().unwrap().append(record)?;
-        match self.policy {
-            SyncPolicy::PerRecord => self.group_commit(seq)?,
-            SyncPolicy::Interval(window) => {
-                let elapsed = self.commit.lock().unwrap().last_sync.elapsed();
-                if elapsed >= window {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::PerBatch => {}
-        }
+        let mut writer = self.writer();
+        let seq = writer.append(record)?;
+        // Published under the writer lock, so the horizon only grows.
+        *self.horizon() = seq;
+        self.durable.notify_all();
         Ok(seq)
     }
 
-    /// A durability point between logging a batch and applying it —
-    /// mirrors [`WalWriter::batch_boundary`].
+    /// A no-op: every [`SharedWal::append`] is already durable when it
+    /// returns. Kept for callers that mark batch ends.
     pub fn batch_boundary(&self) -> Result<(), WalError> {
-        match self.policy {
-            SyncPolicy::PerRecord => Ok(()),
-            SyncPolicy::PerBatch => self.sync(),
-            SyncPolicy::Interval(window) => {
-                let elapsed = self.commit.lock().unwrap().last_sync.elapsed();
-                if elapsed >= window {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Unconditionally fsyncs pending appends and publishes the new
-    /// durable horizon.
-    pub fn sync(&self) -> Result<(), WalError> {
-        let head = {
-            let mut w = self.writer.lock().unwrap();
-            let head = w.next_seq() - 1;
-            w.sync()?;
-            head
-        };
-        self.publish_durable(head);
         Ok(())
     }
 
-    /// The group-commit protocol for one appended `seq` (see the module
-    /// docs). Returns once `durable_seq >= seq`.
-    fn group_commit(&self, seq: u64) -> Result<(), WalError> {
-        let mut st = self.commit.lock().unwrap();
-        loop {
-            if st.durable_seq >= seq {
-                return Ok(());
-            }
-            if st.syncing {
-                st = self.durable.wait(st).unwrap();
-                continue;
-            }
-            st.syncing = true;
-            let floor = st.durable_seq;
-            drop(st);
-            // Grab the handle under the writer lock, fsync outside it.
-            let handle = self
-                .writer
-                .lock()
-                .unwrap()
-                .sync_handle()
-                .and_then(|(head, file)| {
-                    file.sync_data()?;
-                    Ok(head)
-                });
-            st = self.commit.lock().unwrap();
-            st.syncing = false;
-            match handle {
-                Ok(head) => {
-                    let covered = head.saturating_sub(floor.max(st.durable_seq));
-                    st.durable_seq = st.durable_seq.max(head);
-                    st.groups += 1;
-                    st.group_records += covered;
-                    st.max_group = st.max_group.max(covered);
-                    st.last_sync = Instant::now();
-                    self.durable.notify_all();
-                    // Our own append happened before the handle grab,
-                    // so head >= seq always — but loop defensively.
-                    if st.durable_seq >= seq {
-                        return Ok(());
-                    }
-                }
-                Err(e) => {
-                    // Wake waiters so they retry (and hit the error
-                    // themselves rather than hanging).
-                    self.durable.notify_all();
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    fn publish_durable(&self, head: u64) {
-        let mut st = self.commit.lock().unwrap();
-        if head > st.durable_seq {
-            st.durable_seq = head;
-        }
-        st.last_sync = Instant::now();
-        self.durable.notify_all();
+    /// `fdatasync`s the active segment.
+    pub fn sync(&self) -> Result<(), WalError> {
+        self.writer().sync()
     }
 
     /// Highest seq currently on stable storage.
     pub fn durable_seq(&self) -> u64 {
-        self.commit.lock().unwrap().durable_seq
+        *self.horizon()
     }
 
     /// Blocks until `durable_seq > seq` or `timeout` passes; returns
     /// the durable horizon either way. The replication feed's tail
-    /// loop lives here: it sleeps on the commit condvar instead of
-    /// polling the directory.
+    /// loop lives here: it sleeps on the condvar instead of polling the
+    /// directory.
     pub fn wait_durable_past(&self, seq: u64, timeout: Duration) -> u64 {
         let deadline = Instant::now() + timeout;
-        let mut st = self.commit.lock().unwrap();
-        while st.durable_seq <= seq {
+        let mut durable = self.horizon();
+        while *durable <= seq {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (guard, _) = self.durable.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
+            (durable, _) = self
+                .durable
+                .wait_timeout(durable, deadline - now)
+                .expect("a thread panicked while publishing the WAL horizon");
         }
-        st.durable_seq
+        *durable
     }
 
     /// Next sequence number to be assigned.
     pub fn next_seq(&self) -> u64 {
-        self.writer.lock().unwrap().next_seq()
+        self.writer().next_seq()
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> std::path::PathBuf {
-        self.writer.lock().unwrap().dir().to_path_buf()
-    }
-
-    /// The policy this handle enforces.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
-    /// Deletes sealed segments fully covered by `watermark` — see
-    /// [`WalWriter::prune_below`].
+    /// Deletes sealed segments every record of which is `<= watermark`
+    /// (already folded into a durable snapshot). The active segment is
+    /// never deleted. Returns how many files were removed.
     pub fn prune_below(&self, watermark: u64) -> Result<usize, WalError> {
-        self.writer.lock().unwrap().prune_below(watermark)
+        self.writer().prune_below(watermark)
     }
 
-    /// Writer counters, with the group-commit fsyncs folded in (the
-    /// group path syncs a cloned handle, which the inner writer does
-    /// not see).
+    /// Writer counters.
     pub fn stats(&self) -> WalStats {
-        let mut stats = self.writer.lock().unwrap().stats();
-        let st = self.commit.lock().unwrap();
-        stats.fsyncs += st.groups;
-        stats.last_sync_age_micros = st.last_sync.elapsed().as_micros() as u64;
-        stats
-    }
-
-    /// `(groups, records_covered, max_group)` — how well group commit
-    /// amortised. `records_covered / groups` is the mean group size.
-    pub fn group_stats(&self) -> (u64, u64, u64) {
-        let st = self.commit.lock().unwrap();
-        (st.groups, st.group_records, st.max_group)
+        self.writer().stats()
     }
 }
 
@@ -272,7 +125,6 @@ impl SharedWal {
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn record(day: u32) -> WalRecord {
@@ -287,38 +139,22 @@ mod tests {
         }
     }
 
-    /// Satellite: under `PerRecord` with concurrent submitters, group
-    /// commit must fsync strictly fewer times than it appends — the
-    /// whole point of the latch — while every append is durable when
-    /// its call returns.
+    /// Concurrent appenders build one contiguous log, every append is
+    /// durable when its call returns, and each pays its own fsync.
     #[test]
-    fn concurrent_per_record_appends_share_fsyncs() {
-        let tmp = TempDir::new("group-commit");
-        let wal = Arc::new(
-            SharedWal::open(
-                tmp.path(),
-                WalOptions {
-                    sync: SyncPolicy::PerRecord,
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap(),
-        );
+    fn concurrent_appends_are_each_durable_on_return() {
+        let tmp = TempDir::new("shared-concurrent");
+        let wal = Arc::new(SharedWal::open(tmp.path(), WalOptions::default()).unwrap());
         const THREADS: usize = 8;
         const PER_THREAD: usize = 40;
-        let min_durable_seen = Arc::new(AtomicU64::new(u64::MAX));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let wal = Arc::clone(&wal);
-                let seen = Arc::clone(&min_durable_seen);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
                         let seq = wal.append(&record((t * PER_THREAD + i) as u32)).unwrap();
-                        // Per-record durability: by the time append
-                        // returns, the record is on stable storage.
                         let durable = wal.durable_seq();
                         assert!(durable >= seq, "seq {seq} returned with durable {durable}");
-                        seen.fetch_min(durable, Ordering::Relaxed);
                     }
                 })
             })
@@ -329,16 +165,8 @@ mod tests {
         let appends = (THREADS * PER_THREAD) as u64;
         let stats = wal.stats();
         assert_eq!(stats.records_appended, appends);
-        assert!(
-            stats.fsyncs < appends,
-            "group commit did not amortise: {} fsyncs for {appends} appends",
-            stats.fsyncs
-        );
-        let (groups, covered, max_group) = wal.group_stats();
-        assert!(groups > 0 && covered == appends);
-        assert!(max_group >= 1);
+        assert_eq!(stats.fsyncs, appends, "one fsync per append");
         assert_eq!(wal.durable_seq(), appends);
-        // And the log on disk is the full contiguous sequence.
         drop(wal);
         let r = crate::WalReader::open(tmp.path()).unwrap();
         assert_eq!((r.first_seq(), r.last_seq()), (1, appends));
@@ -346,39 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_per_record_still_syncs_every_append() {
-        let tmp = TempDir::new("group-single");
-        let wal = SharedWal::open(
-            tmp.path(),
-            WalOptions {
-                sync: SyncPolicy::PerRecord,
-                ..WalOptions::default()
-            },
-        )
-        .unwrap();
-        for day in 0..5 {
-            let seq = wal.append(&record(day)).unwrap();
-            assert_eq!(wal.durable_seq(), seq);
-        }
-        // No concurrency, no sharing: one group per append.
-        assert_eq!(wal.group_stats().0, 5);
-    }
-
-    #[test]
-    fn batch_policy_defers_durability_to_the_boundary() {
-        let tmp = TempDir::new("group-batch");
-        let wal = SharedWal::open(tmp.path(), WalOptions::default()).unwrap();
-        wal.append(&record(0)).unwrap();
-        wal.append(&record(1)).unwrap();
-        assert_eq!(wal.durable_seq(), 0, "nothing durable before the boundary");
-        wal.batch_boundary().unwrap();
-        assert_eq!(wal.durable_seq(), 2);
-        assert_eq!(wal.stats().fsyncs, 1);
-    }
-
-    #[test]
-    fn wait_durable_past_wakes_on_sync_and_times_out_otherwise() {
-        let tmp = TempDir::new("group-wait");
+    fn wait_durable_past_wakes_on_append_and_times_out_otherwise() {
+        let tmp = TempDir::new("shared-wait");
         let wal = Arc::new(SharedWal::open(tmp.path(), WalOptions::default()).unwrap());
         assert_eq!(
             wal.wait_durable_past(0, Duration::from_millis(10)),
@@ -390,17 +187,15 @@ mod tests {
             std::thread::spawn(move || wal.wait_durable_past(0, Duration::from_secs(30)))
         };
         wal.append(&record(0)).unwrap();
-        wal.batch_boundary().unwrap();
         assert_eq!(waiter.join().unwrap(), 1);
     }
 
     #[test]
     fn reopen_initialises_durable_to_the_recovered_head() {
-        let tmp = TempDir::new("group-reopen");
+        let tmp = TempDir::new("shared-reopen");
         let wal = SharedWal::open(tmp.path(), WalOptions::default()).unwrap();
         wal.append(&record(0)).unwrap();
         wal.append(&record(1)).unwrap();
-        wal.sync().unwrap();
         drop(wal);
         let wal = SharedWal::open(tmp.path(), WalOptions::default()).unwrap();
         assert_eq!(wal.durable_seq(), 2);

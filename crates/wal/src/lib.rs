@@ -7,8 +7,8 @@
 //!
 //! 1. **Log before apply.** Every mutation is encoded as a
 //!    [`WalRecord`], appended to a segmented CRC32-framed log
-//!    ([`WalWriter`]), and fsynced per [`SyncPolicy`] *before* the
-//!    in-memory state changes.
+//!    ([`SharedWal`]), and fsynced *before* the in-memory state
+//!    changes.
 //! 2. **Snapshot + suffix replay.** Recovery ([`recover`]) restores the
 //!    newest valid checksummed snapshot ([`state`]) and replays the WAL
 //!    suffix past its watermark through the *same* state machine the
@@ -38,7 +38,7 @@ pub mod testutil;
 pub use group::SharedWal;
 pub use log::{
     frame_crc, segment_file_name, SegmentInfo, SyncPolicy, WalError, WalOptions, WalReader,
-    WalStats, WalWriter,
+    WalStats,
 };
 pub use record::{RecordError, WalRecord};
 pub use recover::{recover, RecoverError, RecoveryReport};

@@ -34,14 +34,10 @@
 //!
 //! # Durability
 //!
-//! [`WalWriter::append`] writes the frame into the OS page cache;
-//! [`SyncPolicy`] decides when `fdatasync` runs. `PerRecord` syncs every
-//! append (safest, slowest), `PerBatch` syncs at explicit
-//! [`WalWriter::batch_boundary`] calls — the serve loop places one
-//! *before applying* each batch, so the no-lost-acknowledged-mutation
-//! invariant holds while amortising the sync — and `Interval` syncs at
-//! most once per window (bounded loss of the newest suffix). Rotation
-//! and segment creation always sync both the file and the directory.
+//! [`crate::SharedWal::append`] writes the frame and `fdatasync`s it
+//! before it returns, so every record is on stable storage before the
+//! caller applies the mutation it describes. Rotation and segment
+//! creation also sync both the file and the directory.
 
 use crate::crc;
 use crate::record::{RecordError, WalRecord};
@@ -49,7 +45,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// First 8 bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"MWALSEG1";
@@ -76,46 +72,27 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
     }
 }
 
-/// When the writer runs `fdatasync`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// When the log runs `fdatasync`: after every appended record, before
+/// `append` returns. It is the only rule; the type and
+/// [`WalOptions::sync`] name it for callers and the CLI.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SyncPolicy {
     /// Sync after every appended record.
+    #[default]
     PerRecord,
-    /// Sync only at [`WalWriter::batch_boundary`] calls.
-    PerBatch,
-    /// Sync at a boundary or append only if this much time passed since
-    /// the last sync.
-    Interval(Duration),
 }
 
 impl SyncPolicy {
-    /// Parses the CLI spelling: `record`, `batch`, or `interval:<ms>`.
+    /// Parses the CLI spelling; `record` is the only one.
     pub fn parse(s: &str) -> Option<SyncPolicy> {
-        match s {
-            "record" => Some(SyncPolicy::PerRecord),
-            "batch" => Some(SyncPolicy::PerBatch),
-            _ => {
-                let ms: u64 = s.strip_prefix("interval:")?.parse().ok()?;
-                Some(SyncPolicy::Interval(Duration::from_millis(ms)))
-            }
-        }
-    }
-}
-
-impl fmt::Display for SyncPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SyncPolicy::PerRecord => write!(f, "record"),
-            SyncPolicy::PerBatch => write!(f, "batch"),
-            SyncPolicy::Interval(d) => write!(f, "interval:{}", d.as_millis()),
-        }
+        (s == "record").then_some(SyncPolicy::PerRecord)
     }
 }
 
 /// Writer configuration.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// Fsync policy; default `PerBatch`.
+    /// The fsync rule; always `PerRecord`.
     pub sync: SyncPolicy,
     /// Rotate to a new segment once the active one exceeds this many
     /// bytes; default 4 MiB.
@@ -125,7 +102,7 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
-            sync: SyncPolicy::PerBatch,
+            sync: SyncPolicy::PerRecord,
             segment_bytes: 4 * 1024 * 1024,
         }
     }
@@ -319,18 +296,16 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// The single-writer append handle. Exactly one lives in the serve
-/// command loop; everything it appends is fsynced according to policy
-/// *before* the corresponding mutation is applied to in-memory state.
-pub struct WalWriter {
+/// The segment writer inside [`crate::SharedWal`]: appends frames to the
+/// active segment, fsyncing each, and rotates full segments.
+pub(crate) struct WalWriter {
     dir: PathBuf,
-    options: WalOptions,
+    segment_bytes: u64,
     file: File,
     seg_len: u64,
     sealed_segments: usize,
     next_seq: u64,
     first_seq: u64,
-    dirty: bool,
     last_sync: Instant,
     records_appended: u64,
     bytes_appended: u64,
@@ -341,7 +316,7 @@ pub struct WalWriter {
 impl WalWriter {
     /// Opens (or creates) the log in `dir`, truncating any torn tail in
     /// the newest segment and positioning after the last durable record.
-    pub fn open(dir: &Path, options: WalOptions) -> Result<WalWriter, WalError> {
+    pub(crate) fn open(dir: &Path, options: WalOptions) -> Result<WalWriter, WalError> {
         fs::create_dir_all(dir)?;
         let segments = list_segments(dir)?;
         let (file, next_seq, first_seq, seg_len, sealed, truncated) = match segments.last() {
@@ -401,13 +376,12 @@ impl WalWriter {
         };
         Ok(WalWriter {
             dir: dir.to_path_buf(),
-            options,
+            segment_bytes: options.segment_bytes,
             file,
             seg_len,
             sealed_segments: sealed,
             next_seq,
             first_seq,
-            dirty: false,
             last_sync: Instant::now(),
             records_appended: 0,
             bytes_appended: 0,
@@ -416,67 +390,29 @@ impl WalWriter {
         })
     }
 
-    /// Appends one record, returning the sequence number it received.
-    /// Runs the sync policy and rotates the segment if it filled up.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
+    /// Appends one record and `fdatasync`s it, returning the sequence
+    /// number it received; rotates the segment if it filled up.
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
         let seq = self.next_seq;
         let frame = encode_frame(seq, record.encode().as_bytes());
         self.file.write_all(&frame)?;
         self.seg_len += frame.len() as u64;
         self.next_seq += 1;
-        self.dirty = true;
         self.records_appended += 1;
         self.bytes_appended += frame.len() as u64;
-        match self.options.sync {
-            SyncPolicy::PerRecord => self.sync()?,
-            SyncPolicy::Interval(window) => {
-                if self.last_sync.elapsed() >= window {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::PerBatch => {}
-        }
-        if self.seg_len >= self.options.segment_bytes {
+        self.sync()?;
+        if self.seg_len >= self.segment_bytes {
             self.rotate()?;
         }
         Ok(seq)
     }
 
-    /// A durability point between logging a batch of records and
-    /// applying them: `PerBatch` syncs here, `Interval` syncs if the
-    /// window elapsed, `PerRecord` already synced.
-    pub fn batch_boundary(&mut self) -> Result<(), WalError> {
-        match self.options.sync {
-            SyncPolicy::PerRecord => Ok(()),
-            SyncPolicy::PerBatch => self.sync(),
-            SyncPolicy::Interval(window) => {
-                if self.dirty && self.last_sync.elapsed() >= window {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Unconditionally `fdatasync`s pending appends.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        if self.dirty {
-            self.file.sync_data()?;
-            self.dirty = false;
-            self.fsyncs += 1;
-        }
+    /// `fdatasync`s the active segment.
+    pub(crate) fn sync(&mut self) -> Result<(), WalError> {
+        self.file.sync_data()?;
+        self.fsyncs += 1;
         self.last_sync = Instant::now();
         Ok(())
-    }
-
-    /// `(head_seq, handle)` for an out-of-lock group-commit fsync
-    /// ([`crate::group::SharedWal`]). The clone of the active segment
-    /// file covers every un-synced frame: rotation syncs the sealed
-    /// file before the new one opens, so dirty bytes only ever live in
-    /// the active segment.
-    pub(crate) fn sync_handle(&self) -> Result<(u64, File), WalError> {
-        Ok((self.next_seq - 1, self.file.try_clone()?))
     }
 
     /// Seals the active segment (after syncing it) and starts a new one
@@ -492,7 +428,7 @@ impl WalWriter {
     /// Deletes sealed segments every record of which is `<= watermark`
     /// (i.e. already folded into a durable snapshot). The active segment
     /// is never deleted. Returns how many files were removed.
-    pub fn prune_below(&mut self, watermark: u64) -> Result<usize, WalError> {
+    pub(crate) fn prune_below(&mut self, watermark: u64) -> Result<usize, WalError> {
         let segments = list_segments(&self.dir)?;
         let mut removed = 0;
         for pair in segments.windows(2) {
@@ -518,22 +454,12 @@ impl WalWriter {
     }
 
     /// Next sequence number to be assigned.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.options.sync
-    }
-
     /// Current counters.
-    pub fn stats(&self) -> WalStats {
+    pub(crate) fn stats(&self) -> WalStats {
         WalStats {
             segments: self.sealed_segments + 1,
             records_appended: self.records_appended,
@@ -732,8 +658,8 @@ mod tests {
 
     fn opts(segment_bytes: u64) -> WalOptions {
         WalOptions {
-            sync: SyncPolicy::PerBatch,
             segment_bytes,
+            ..WalOptions::default()
         }
     }
 
@@ -744,14 +670,12 @@ mod tests {
         for day in 0..5 {
             assert_eq!(w.append(&run_day(day)).unwrap(), day as u64 + 1);
         }
-        w.batch_boundary().unwrap();
         drop(w);
 
         // A reopened writer continues the sequence.
         let mut w = WalWriter::open(tmp.path(), WalOptions::default()).unwrap();
         assert_eq!(w.next_seq(), 6);
         w.append(&WalRecord::Compact { epoch: 3 }).unwrap();
-        w.sync().unwrap();
 
         let r = WalReader::open(tmp.path()).unwrap();
         assert_eq!(r.len(), 6);
@@ -770,7 +694,6 @@ mod tests {
         for day in 0..3 {
             w.append(&run_day(day)).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
 
         // Tear the last frame at every possible byte boundary.
@@ -796,7 +719,6 @@ mod tests {
             assert_eq!(w.next_seq(), 3);
             assert_eq!(w.stats().truncated_tail_bytes, (cut - keep_two) as u64);
             w.append(&run_day(9)).unwrap();
-            w.sync().unwrap();
             drop(w);
             let r = WalReader::open(tmp.path()).unwrap();
             assert_eq!(r.last_seq(), 3);
@@ -812,7 +734,6 @@ mod tests {
         for day in 0..3 {
             w.append(&run_day(day)).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
         let seg = tmp.path().join(segment_file_name(1));
         let mut data = fs::read(&seg).unwrap();
@@ -834,7 +755,6 @@ mod tests {
         for day in 0..6 {
             w.append(&run_day(day)).unwrap();
         }
-        w.sync().unwrap();
         assert!(w.stats().segments >= 4, "got {}", w.stats().segments);
         drop(w);
         let r = WalReader::open(tmp.path()).unwrap();
@@ -856,7 +776,6 @@ mod tests {
         for day in 0..4 {
             w.append(&run_day(day)).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
         let first = tmp.path().join(segment_file_name(1));
         let mut data = fs::read(&first).unwrap();
@@ -876,7 +795,6 @@ mod tests {
         for day in 0..6 {
             w.append(&run_day(day)).unwrap();
         }
-        w.sync().unwrap();
         let before = list_segments(tmp.path()).unwrap().len();
         assert!(before >= 4);
         // Nothing durable yet: watermark 0 removes nothing.
@@ -895,7 +813,6 @@ mod tests {
         assert_eq!(r.records_after(6).unwrap(), vec![]);
         // And the writer still appends correctly after pruning.
         w.append(&run_day(9)).unwrap();
-        w.sync().unwrap();
         assert_eq!(WalReader::open(tmp.path()).unwrap().last_seq(), 7);
     }
 
@@ -911,15 +828,8 @@ mod tests {
     #[test]
     fn sync_policy_parses_cli_spellings() {
         assert_eq!(SyncPolicy::parse("record"), Some(SyncPolicy::PerRecord));
-        assert_eq!(SyncPolicy::parse("batch"), Some(SyncPolicy::PerBatch));
-        assert_eq!(
-            SyncPolicy::parse("interval:250"),
-            Some(SyncPolicy::Interval(Duration::from_millis(250)))
-        );
-        assert_eq!(SyncPolicy::parse("interval:"), None);
-        assert_eq!(SyncPolicy::parse("wat"), None);
-        for p in ["record", "batch", "interval:250"] {
-            assert_eq!(SyncPolicy::parse(p).unwrap().to_string(), p);
+        for gone in ["batch", "interval:250", "interval:", "wat"] {
+            assert_eq!(SyncPolicy::parse(gone), None, "{gone}");
         }
     }
 }

@@ -16,7 +16,7 @@
 //!    segment), then apply every record with `seq > watermark` through
 //!    [`ReplayWorld`] — the same state machine the live server runs.
 //! 3. **Resume.** The caller turns the world into a serving host via
-//!    [`ReplayWorld::into_parts`]; a [`crate::WalWriter`] opened on the
+//!    [`ReplayWorld::into_parts`]; a [`crate::SharedWal`] opened on the
 //!    same directory truncates the torn tail and continues at
 //!    `last_seq + 1`.
 //!
@@ -151,7 +151,8 @@ pub fn recover(dir: &Path) -> Result<(ReplayWorld, RecoveryReport), RecoverError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{SyncPolicy, WalOptions, WalWriter};
+    use crate::group::SharedWal;
+    use crate::log::WalOptions;
     use crate::record::WalRecord;
     use crate::state::{encode, write_snapshot_file};
     use crate::testutil::TempDir;
@@ -185,11 +186,11 @@ mod tests {
         let mut host = Host::new(engine.model(), config());
         // Genesis snapshot: watermark 0.
         write_snapshot_file(dir, 0, &encode(&host, Some(&engine))).unwrap();
-        let mut wal = WalWriter::open(
+        let wal = SharedWal::open(
             dir,
             WalOptions {
-                sync: SyncPolicy::PerRecord,
                 segment_bytes: 256, // force rotations
+                ..WalOptions::default()
             },
         )
         .unwrap();

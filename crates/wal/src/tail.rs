@@ -2,9 +2,9 @@
 //!
 //! [`WalCursor`] follows the segment files of a log that is still being
 //! appended to, yielding raw frames `(seq, crc, payload)` in seq order.
-//! It is only ever polled with the writer's published `durable_seq`
-//! ([`crate::group::SharedWal::durable_seq`]) as the horizon, which
-//! makes the parse unambiguous:
+//! It is only ever polled with the log's published `durable_seq`
+//! ([`crate::SharedWal::durable_seq`], which each append advances after
+//! its fsync) as the horizon, which makes the parse unambiguous:
 //!
 //! * a frame with `seq <= durable` is fully written and fsynced, so a
 //!   short read there means the frame continues in the *next* segment
@@ -325,7 +325,7 @@ impl WalCursor {
 mod tests {
     use super::*;
     use crate::group::SharedWal;
-    use crate::log::{SyncPolicy, WalOptions};
+    use crate::log::WalOptions;
     use crate::record::WalRecord;
     use crate::testutil::TempDir;
 
@@ -338,8 +338,8 @@ mod tests {
 
     fn opts(segment_bytes: u64) -> WalOptions {
         WalOptions {
-            sync: SyncPolicy::PerBatch,
             segment_bytes,
+            ..WalOptions::default()
         }
     }
 
@@ -354,7 +354,6 @@ mod tests {
         for day in 0..4 {
             wal.append(&record(day)).unwrap();
         }
-        wal.batch_boundary().unwrap();
         assert_eq!(cursor.poll(wal.durable_seq(), &mut frames).unwrap(), 4);
         // Frames are verbatim log frames: seqs contiguous, CRCs check.
         for (i, f) in frames.iter().enumerate() {
@@ -364,7 +363,6 @@ mod tests {
         }
         // More appends: the cursor picks up where it left off.
         wal.append(&record(9)).unwrap();
-        wal.batch_boundary().unwrap();
         let mut more = Vec::new();
         assert_eq!(cursor.poll(wal.durable_seq(), &mut more).unwrap(), 1);
         assert_eq!(more[0].seq, 5);
@@ -374,20 +372,15 @@ mod tests {
     fn cursor_refuses_to_ship_past_the_durable_horizon() {
         let tmp = TempDir::new("tail-horizon");
         let wal = SharedWal::open(tmp.path(), WalOptions::default()).unwrap();
-        for day in 0..3 {
+        for day in 0..6 {
             wal.append(&record(day)).unwrap();
         }
-        // durable_seq is still 0: nothing is shippable.
+        // Horizon 0: nothing is shippable.
         let mut cursor = WalCursor::open(tmp.path(), 0);
         let mut frames = Vec::new();
-        assert_eq!(cursor.poll(wal.durable_seq(), &mut frames).unwrap(), 0);
-        wal.batch_boundary().unwrap();
-        assert_eq!(cursor.poll(wal.durable_seq(), &mut frames).unwrap(), 3);
+        assert_eq!(cursor.poll(0, &mut frames).unwrap(), 0);
+        assert_eq!(cursor.poll(3, &mut frames).unwrap(), 3);
         // A partial horizon ships a partial prefix.
-        for day in 3..6 {
-            wal.append(&record(day)).unwrap();
-        }
-        wal.batch_boundary().unwrap();
         let mut partial = Vec::new();
         assert_eq!(cursor.poll(4, &mut partial).unwrap(), 1);
         assert_eq!(partial[0].seq, 4);
@@ -400,7 +393,6 @@ mod tests {
         for day in 0..6 {
             wal.append(&record(day)).unwrap();
         }
-        wal.batch_boundary().unwrap();
         wal.prune_below(4).unwrap();
         let mut cursor = WalCursor::open(tmp.path(), 0);
         let mut frames = Vec::new();
@@ -421,7 +413,6 @@ mod tests {
         for day in 0..5 {
             wal.append(&record(day)).unwrap();
         }
-        wal.batch_boundary().unwrap();
         let mut cursor = WalCursor::open(tmp.path(), 3);
         let mut frames = Vec::new();
         assert_eq!(cursor.poll(wal.durable_seq(), &mut frames).unwrap(), 2);
@@ -436,7 +427,6 @@ mod tests {
         for day in 0..3 {
             wal.append(&record(day)).unwrap();
         }
-        wal.batch_boundary().unwrap();
         let durable = wal.durable_seq();
         drop(wal);
         let seg = tmp.path().join(crate::segment_file_name(1));

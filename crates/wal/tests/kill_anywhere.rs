@@ -25,7 +25,7 @@ use mroam_market::{DayRecord, ProposalGenerator};
 use mroam_stream::testutil::disjoint_engine;
 use mroam_wal::state::{encode, list_snapshots, write_snapshot_file};
 use mroam_wal::testutil::TempDir;
-use mroam_wal::{recover, SyncPolicy, WalOptions, WalReader, WalRecord, WalWriter};
+use mroam_wal::{recover, SharedWal, WalOptions, WalReader, WalRecord};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -86,11 +86,11 @@ fn run(dir: &Path, days: u32, snapshot_every: u32, seed: u64, cut: Option<u64>) 
         seed,
     };
     let mut host = Host::new(engine.model(), config(seed));
-    let mut wal = WalWriter::open(
+    let wal = SharedWal::open(
         dir,
         WalOptions {
-            sync: SyncPolicy::PerRecord,
             segment_bytes: 256, // force frequent rotations
+            ..WalOptions::default()
         },
     )
     .unwrap();
